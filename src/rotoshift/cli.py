@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,7 +73,10 @@ def _fmt(value) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # NaN, +-Infinity and integers beyond the float range would otherwise
+    # fail later with a message that names no field
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_int(v) -> bool:
@@ -155,11 +157,17 @@ def validate_config(raw: dict, command: str) -> dict:
         problems.append("transition: block is required")
     if isinstance(transition, dict):
         _check_keys(transition, _TRANSITION_KEYS, "transition", problems)
+        pairs_ok = True
         for name in ("upper", "lower"):
             pair = transition.get(name)
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(_is_int(v) for v in pair)):
                 problems.append(f"transition.{name}: must be [q, m_z] integers")
+                pairs_ok = False
+        if (pairs_ok and command in ("drfs", "sweep")
+                and transition["upper"][0] <= transition["lower"][0]):
+            problems.append("transition: upper shell must lie above the lower "
+                            "shell (emission)")
         if "M" in transition and not _is_int(transition["M"]):
             problems.append("transition.M: must be an integer")
 
@@ -286,19 +294,6 @@ def _sweep_values(sweep: dict) -> np.ndarray:
     return values if lo < hi else values[::-1]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ROTOSHIFT_THREADS", "0")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValidationError(f"ROTOSHIFT_THREADS must be an integer, got {raw!r}")
-    if count < 0:
-        raise ValidationError("ROTOSHIFT_THREADS must be >= 0")
-    if count == 0:
-        count = min(8, os.cpu_count() or 1)
-    return count
-
-
 # ---------------------------------------------------------------------------
 # row builders
 # ---------------------------------------------------------------------------
@@ -376,13 +371,7 @@ def _run_sweep(config: dict, M_override):
             drive_vec, drive_mag = _drive_vector(rotor, dict(config, drive=drive))
         return _transition_row(float(value), config, rotor, t, drive_vec, drive_mag)
 
-    workers = _worker_count()
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(build, values))
-    else:
-        rows = [build(v) for v in values]
-    return REPORT_COLUMNS, rows
+    return REPORT_COLUMNS, [build(v) for v in values]
 
 
 def _run_spectrum(config: dict):

@@ -15,7 +15,7 @@ from math import factorial, sqrt
 from typing import Tuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 from .constants import CODATA2018, PhysicalConstants
 from .errors import ResonanceError, SelectionRuleError, ValidationError
@@ -192,8 +192,17 @@ def displacement_parameters(rotor: RotorConfig,
 
 @lru_cache(maxsize=None)
 def _laguerre_nodes(count: int):
-    x, w = roots_laguerre(count)
-    return x, w
+    return laggauss(count)
+
+
+def _genlaguerre(k: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    # L_k^(alpha)(x) by the three-term recurrence in k
+    prev, cur = np.ones_like(x), 1.0 + alpha - x
+    if k == 0:
+        return prev
+    for j in range(1, k):
+        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
+    return cur
 
 
 def _radial_norm(n: int, l: int) -> float:
@@ -221,8 +230,8 @@ def radial_dipole_integral(n: int, l: int, l_prime: int) -> float:
     x, w = _laguerre_nodes(80)
     np_, npp = _radial_norm(n, l), _radial_norm(n, l_prime)
     poly = (x ** (l + l_prime)
-            * eval_genlaguerre(n - l - 1, 2 * l + 1, x)
-            * eval_genlaguerre(n - l_prime - 1, 2 * l_prime + 1, x))
+            * _genlaguerre(n - l - 1, 2 * l + 1, x)
+            * _genlaguerre(n - l_prime - 1, 2 * l_prime + 1, x))
     val = np_ * npp * np.sum(w * poly * (n * x / 2.0) ** 3) * (n / 2.0)
     return float(val)
 
@@ -261,6 +270,8 @@ def manifold_position_matrices(n: int):
     """
     basis = hydrogen_manifold_basis(n)
     d = basis.dimension
+    radial = {(l, lp): radial_dipole_integral(n, l, lp)
+              for l in range(n) for lp in (l - 1, l + 1) if 0 <= lp < n}
     X = np.zeros((d, d), dtype=complex)
     Y = np.zeros((d, d), dtype=complex)
     Z = np.zeros((d, d), dtype=complex)
@@ -268,7 +279,7 @@ def manifold_position_matrices(n: int):
         for i, (_, lp, mp) in enumerate(basis.labels):
             if abs(lp - l) != 1:
                 continue
-            rad = radial_dipole_integral(n, l, lp)
+            rad = radial[l, lp]
             plus = _angular_sin_exp(lp, mp, l, m, +1)
             minus = _angular_sin_exp(lp, mp, l, m, -1)
             X[i, j] = rad * 0.5 * (plus + minus)

@@ -167,14 +167,15 @@ def _bohr_level(n: int, Z: int, constants: PhysicalConstants) -> float:
 
 
 def _warn_if_nonperturbative(n: int, splitting_rate: float, Z: int,
-                             constants: PhysicalConstants):
-    # full spread of the n-manifold fan vs the gap to the next shell
+                             constants: PhysicalConstants, stacklevel: int = 3):
+    # full spread of the n-manifold fan vs the gap to the next shell;
+    # stacklevel points the warning at the caller of the public function
     spread = 2.0 * (n - 1) * constants.hbar * abs(splitting_rate)
     gap = abs(_bohr_level(n + 1, Z, constants) - _bohr_level(n, Z, constants))
     if spread > 0.01 * gap:
         warnings.warn("splitting exceeds 1% of the shell gap; first-order "
                       "levels are no longer reliable", PerturbativeRegimeWarning,
-                      stacklevel=3)
+                      stacklevel=stacklevel)
 
 
 def crossed_field_levels(n: int, m_z: int, fields: CrossedFields,
@@ -221,11 +222,18 @@ def rotating_coulomb_levels(n: int, m_z: int, rotor: RotorConfig,
     collects the centrifugal Stark contribution.  R=0 leaves the pure
     rotational splitting -hbar Omega m_z.
     """
+    return _turntable_level(n, m_z, rotor, constants,
+                            lambda q: splitting_expansion_parameter(q, rotor, constants))
+
+
+def _turntable_level(n: int, m_z: int, rotor: RotorConfig,
+                     constants: PhysicalConstants, splitting) -> float:
+    # shared body of the undriven and driven level; splitting(q) gives x
     model = _require_coulomb(rotor)
     _check_shell_numbers(n, m_z)
-    x = splitting_expansion_parameter(n, rotor, constants)
+    x = splitting(n)
     root = sqrt(1.0 + x * x)
-    _warn_if_nonperturbative(n, rotor.Omega * root, model.Z, constants)
+    _warn_if_nonperturbative(n, rotor.Omega * root, model.Z, constants, stacklevel=4)
     return (_bohr_level(n, model.Z, constants)
             - constants.hbar * rotor.Omega * m_z * root)
 
@@ -263,13 +271,8 @@ def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig,
     orientation it deepens the splitting or cancels it; an antiparallel
     drive with eE = m Omega^2 R collapses the root to exactly 1.
     """
-    model = _require_coulomb(rotor)
-    _check_shell_numbers(n, m_z)
-    x = driven_splitting_parameter(n, rotor, drive_E, constants)
-    root = sqrt(1.0 + x * x)
-    _warn_if_nonperturbative(n, rotor.Omega * root, model.Z, constants)
-    return (_bohr_level(n, model.Z, constants)
-            - constants.hbar * rotor.Omega * m_z * root)
+    return _turntable_level(n, m_z, rotor, constants,
+                            lambda q: driven_splitting_parameter(q, rotor, drive_E, constants))
 
 
 def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig,

@@ -123,22 +123,17 @@ def self_consistent_doppler(deltaE: float, v, k_direction,
                             constants: PhysicalConstants = CODATA2018) -> float:
     """Doppler frequency with |k| = omega/c enforced self-consistently.
 
-    Iterates omega = deltaE/hbar + (v . k_hat) omega/c to its fixed point
-    (a geometric series; converges fast for the allowed speeds).
+    Solves omega = deltaE/hbar + (v . k_hat) omega/c in closed form,
+    omega = (deltaE/hbar) / (1 - v . k_hat / c); the speed guard of
+    doppler_frequency keeps the denominator within 1% of one.
     """
     k_hat = np.asarray(k_direction, dtype=float)
     norm = float(np.linalg.norm(k_hat))
     if norm == 0:
         raise ValidationError("propagation direction must be nonzero")
     k_hat = k_hat / norm
-    omega = doppler_frequency(deltaE, v, np.zeros(3), constants)
-    c = constants.light_speed
-    for _ in range(200):
-        new = deltaE / constants.hbar + float(v @ k_hat) * omega / c
-        if abs(new - omega) <= 1e-15 * abs(new):
-            return new
-        omega = new
-    return omega
+    rest = doppler_frequency(deltaE, v, np.zeros(3), constants)
+    return rest / (1.0 - float(np.dot(v, k_hat)) / constants.light_speed)
 
 
 def rotational_kinematic_shift(Omega: float, M: int) -> float:
@@ -181,6 +176,29 @@ def _check_transition_labels(t: Transition):
             raise ValidationError(f"{name} level needs q >= 1 and |m_z| <= q-1")
 
 
+def _turntable_report(t: Transition, rotor: RotorConfig,
+                      constants: PhysicalConstants, splitting) -> ShiftReport:
+    # shared body of the undriven and driven report; splitting(q) gives x
+    if not isinstance(rotor.model, Coulomb):
+        raise ValidationError("rotor model must be Coulomb")
+    _check_transition_labels(t)
+    (n, m_z), (n_prime, m_zp) = t.upper, t.lower
+    Omega = rotor.Omega
+    x_u = splitting(n)
+    x_l = splitting(n_prime)
+    # sqrt(1+x^2) - 1 evaluated stably for small x
+    excess_u = x_u * x_u / (sqrt(1.0 + x_u * x_u) + 1.0)
+    excess_l = x_l * x_l / (sqrt(1.0 + x_l * x_l) + 1.0)
+    dynamic = -Omega * m_z * excess_u + Omega * m_zp * excess_l
+    kinematic = Omega * (t.effective_M() - (m_z - m_zp))
+    drfs = kinematic + dynamic
+    omega_rest = _rest_frequency_coulomb(t, rotor.model.Z, constants)
+    return ShiftReport(transition=t, omega_rest=omega_rest,
+                       omega_rotating=omega_rest + drfs, drfs=drfs,
+                       kinematic_part=kinematic, dynamic_part=dynamic,
+                       ratios={})
+
+
 def drfs_exact(t: Transition, rotor: RotorConfig,
                constants: PhysicalConstants = CODATA2018) -> ShiftReport:
     """Rotational frequency shift of a hydrogen transition, exact form.
@@ -190,28 +208,12 @@ def drfs_exact(t: Transition, rotor: RotorConfig,
     sign.  The report decomposes the shift into the kinematic part
     Omega (M - Delta m_z) and the dynamic square-root excess.
     """
-    if not isinstance(rotor.model, Coulomb):
-        raise ValidationError("rotor model must be Coulomb")
-    _check_transition_labels(t)
-    (n, m_z), (n_prime, m_zp) = t.upper, t.lower
-    Omega = rotor.Omega
-    x_u = splitting_expansion_parameter(n, rotor, constants)
-    x_l = splitting_expansion_parameter(n_prime, rotor, constants)
-    # sqrt(1+x^2) - 1 evaluated stably for small x
-    excess_u = x_u * x_u / (sqrt(1.0 + x_u * x_u) + 1.0)
-    excess_l = x_l * x_l / (sqrt(1.0 + x_l * x_l) + 1.0)
-    dynamic = -Omega * m_z * excess_u + Omega * m_zp * excess_l
-    kinematic = Omega * (t.effective_M() - (m_z - m_zp))
-    drfs = kinematic + dynamic
-    omega_rest = _rest_frequency_coulomb(t, rotor.model.Z, constants)
-    ratios = {}
-    if omega_rest > 0 and t.effective_M() == m_z - m_zp:
-        ratios["transverse_doppler"] = transverse_doppler_ratio(
-            t, Omega, omega_rest, constants, Z=rotor.model.Z)
-    return ShiftReport(transition=t, omega_rest=omega_rest,
-                       omega_rotating=omega_rest + drfs, drfs=drfs,
-                       kinematic_part=kinematic, dynamic_part=dynamic,
-                       ratios=ratios)
+    report = _turntable_report(
+        t, rotor, constants, lambda q: splitting_expansion_parameter(q, rotor, constants))
+    if report.omega_rest > 0 and t.effective_M() == t.upper[1] - t.lower[1]:
+        report.ratios["transverse_doppler"] = transverse_doppler_ratio(
+            t, rotor.Omega, report.omega_rest, constants, Z=rotor.model.Z)
+    return report
 
 
 def driven_shift_report(t: Transition, rotor: RotorConfig, drive_E,
@@ -223,23 +225,8 @@ def driven_shift_report(t: Transition, rotor: RotorConfig, drive_E,
     transverse Doppler ratio are not defined in this regime, so the ratio
     map stays empty.
     """
-    if not isinstance(rotor.model, Coulomb):
-        raise ValidationError("rotor model must be Coulomb")
-    _check_transition_labels(t)
-    (n, m_z), (n_prime, m_zp) = t.upper, t.lower
-    Omega = rotor.Omega
-    x_u = driven_splitting_parameter(n, rotor, drive_E, constants)
-    x_l = driven_splitting_parameter(n_prime, rotor, drive_E, constants)
-    excess_u = x_u * x_u / (sqrt(1.0 + x_u * x_u) + 1.0)
-    excess_l = x_l * x_l / (sqrt(1.0 + x_l * x_l) + 1.0)
-    dynamic = -Omega * m_z * excess_u + Omega * m_zp * excess_l
-    kinematic = Omega * (t.effective_M() - (m_z - m_zp))
-    drfs = kinematic + dynamic
-    omega_rest = _rest_frequency_coulomb(t, rotor.model.Z, constants)
-    return ShiftReport(transition=t, omega_rest=omega_rest,
-                       omega_rotating=omega_rest + drfs, drfs=drfs,
-                       kinematic_part=kinematic, dynamic_part=dynamic,
-                       ratios={})
+    return _turntable_report(
+        t, rotor, constants, lambda q: driven_splitting_parameter(q, rotor, drive_E, constants))
 
 
 def harmonic_shift_report(t: Transition, rotor: RotorConfig,

@@ -1,13 +1,16 @@
 """End-to-end command-line checks: schemas, exit codes, file handling."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from math import pi
 
 import numpy as np
 import pytest
 
+import rotoshift
 from rotoshift import CODATA2018, Coulomb, RotorConfig, Transition, drfs_exact
 from rotoshift.cli import REPORT_COLUMNS, main
 
@@ -375,12 +378,39 @@ def test_sweep_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_bad_thread_setting_rejected(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "sweep.csv"
-    path = write_config(tmp_path, sweep_config(str(out)))
-    monkeypatch.setenv("ROTOSHIFT_THREADS", "many")
-    assert main(["sweep", "--config", path]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command,block,key,value", [
+    ("drfs", "rotor", "omega_rad_s", float("nan")),
+    ("sweep", "sweep", "from", float("inf")),
+    ("drfs", "rotor", "radius_m", 10 ** 400),
+], ids=["nan", "infinity", "int-beyond-float"])
+def test_non_finite_number_rejected_naming_field(tmp_path, capsys, command,
+                                                 block, key, value):
+    config = sweep_config(str(tmp_path / "out.csv"))
+    config[block][key] = value
+    # json writes NaN and Infinity literals, which json.load accepts
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    assert f"{block}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["drfs", "sweep"])
+@pytest.mark.parametrize("upper,lower", [([2, 1], [3, 2]), ([3, 1], [3, 2])])
+def test_non_emitting_transition_rejected(tmp_path, capsys, command, upper, lower):
+    config = sweep_config(str(tmp_path / "out.csv"))
+    config["transition"] = {"upper": upper, "lower": lower}
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    assert "transition" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy():
+    src = os.path.dirname(os.path.dirname(rotoshift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rotoshift.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_drive_sweep_hits_exact_cancellation(tmp_path):

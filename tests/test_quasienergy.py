@@ -287,6 +287,18 @@ def test_perturbative_warning_fires_when_fan_widens():
         rotating_coulomb_levels(2, 1, coulomb_rotor(1e10, 1e-10))
 
 
+def test_perturbative_warning_points_at_the_caller():
+    # the default warning filter deduplicates by location, so the warning
+    # must name the calling line, not a line inside the library
+    rotor = coulomb_rotor(5e13, 1e-9)
+    with pytest.warns(PerturbativeRegimeWarning) as undriven:
+        rotating_coulomb_levels(5, 4, rotor)
+    with pytest.warns(PerturbativeRegimeWarning) as driven:
+        driven_rotating_levels(5, 4, rotor, None)
+    for record in (undriven, driven):
+        assert [r.filename for r in record] == [__file__]
+
+
 # ---------------------------------------------------------------------------
 # driven rotation
 # ---------------------------------------------------------------------------
