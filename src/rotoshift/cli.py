@@ -61,6 +61,13 @@ _SWEEP_KEYS = {"axis", "from", "to", "points", "scale"}
 _OUTPUT_KEYS = {"format", "path"}
 _DOPPLER_KEYS = {"delta_E_J", "v_m_per_s", "k_per_m", "k_direction"}
 
+# Largest accepted rotation or trap rate, rad/s: the electron's Compton
+# frequency m c^2 / hbar.  A quantum hbar Omega above the electron rest
+# energy is outside every nonrelativistic formula here, and below it the
+# squares of rates stay finite.
+_MAX_RATE_RAD_S = CODATA2018.electron_mass * CODATA2018.light_speed ** 2 / CODATA2018.hbar
+_MAX_SWEEP_POINTS = 100000
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -105,6 +112,12 @@ def _vector3(value, where: str, problems: list):
     return [float(v) for v in value]
 
 
+def _check_rate(rad_s: float, where: str, problems: list):
+    if rad_s > _MAX_RATE_RAD_S:
+        problems.append(f"{where}: rate beyond the electron Compton frequency "
+                        f"m c^2/hbar = {_MAX_RATE_RAD_S:.3g} rad/s")
+
+
 def validate_config(raw: dict, command: str) -> dict:
     """Strict structural validation; returns the config or raises ConfigError."""
     problems: list = []
@@ -133,15 +146,21 @@ def validate_config(raw: dict, command: str) -> dict:
             if has_omega == has_cycles:
                 problems.append("rotor: exactly one of omega_rad_s / "
                                 "omega_over_2pi_hz is required")
-            for key in ("omega_rad_s", "omega_over_2pi_hz"):
-                if key in rotor and not _is_number(rotor[key]):
+            for key, rad_per_unit in (("omega_rad_s", 1.0), ("omega_over_2pi_hz", 2.0 * math.pi)):
+                if key not in rotor:
+                    continue
+                if not _is_number(rotor[key]):
                     problems.append(f"rotor.{key}: must be a number")
+                else:
+                    _check_rate(abs(rotor[key]) * rad_per_unit, f"rotor.{key}", problems)
             if not _is_number(rotor.get("radius_m")) or rotor.get("radius_m", -1) < 0:
                 problems.append("rotor.radius_m: must be a nonnegative number")
             if model == "harmonic":
                 if not _is_number(rotor.get("omega0_rad_s")) or rotor.get("omega0_rad_s", 0) <= 0:
                     problems.append("rotor.omega0_rad_s: required positive number "
                                     "for the harmonic model")
+                else:
+                    _check_rate(rotor["omega0_rad_s"], "rotor.omega0_rad_s", problems)
                 if "Z" in rotor:
                     problems.append("rotor.Z: not a harmonic-model parameter")
             if model == "coulomb":
@@ -205,9 +224,13 @@ def validate_config(raw: dict, command: str) -> dict:
                 problems.append("sweep.from/to: degenerate range (from = to)")
             elif scale == "log" and (lo <= 0 or hi <= 0):
                 problems.append("sweep.from/to: log scale needs positive endpoints")
+            elif axis in ("radius", "drive") and min(lo, hi) < 0:
+                problems.append(f"sweep.from/to: a {axis} sweep needs nonnegative endpoints")
+            elif axis == "omega":
+                _check_rate(max(abs(lo), abs(hi)), "sweep.from/to", problems)
             points = sweep.get("points")
-            if not _is_int(points) or points < 2:
-                problems.append("sweep.points: must be an integer >= 2")
+            if not _is_int(points) or not 2 <= points <= _MAX_SWEEP_POINTS:
+                problems.append(f"sweep.points: must be an integer in [2, {_MAX_SWEEP_POINTS}]")
             if axis == "drive":
                 if model != "coulomb":
                     problems.append("sweep.axis=drive: requires the coulomb model")

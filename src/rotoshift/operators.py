@@ -63,14 +63,14 @@ class HermitianOperator:
 
     @classmethod
     def from_matrix(cls, basis: TruncatedBasis, matrix: np.ndarray) -> "HermitianOperator":
-        matrix = np.asarray(matrix, dtype=complex)
+        # the cast copies, so the stored matrix shares no memory with the caller
+        matrix = np.array(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
         if matrix.shape != (basis.dimension, basis.dimension):
             raise ValidationError("matrix dimension does not match basis dimension")
         defect = float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
         scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
         if defect > 1e-12 * max(scale, 1e-300):
             raise ValidationError("matrix is not Hermitian to working precision")
-        matrix = matrix.copy()
         matrix.flags.writeable = False
         return cls(basis=basis, matrix=matrix, hermiticity_defect=defect)
 
@@ -105,6 +105,38 @@ def hydrogen_manifold_basis(n: int) -> TruncatedBasis:
 # ---------------------------------------------------------------------------
 
 
+def _ho_hops(basis: TruncatedBasis):
+    """Label array and hop function of an HO3D basis.
+
+    hop(dx, dy, dz) returns (source, target, n_x, n_y): the basis indices
+    of every label n whose shift n + (dx, dy, dz) stays inside the basis,
+    the indices of the shifted labels, and the source occupations.  Targets
+    come from a label -> index table padded by one on each side.
+    """
+    if basis.kind != "HO3D":
+        raise ValidationError("oscillator operators need an HO3D basis")
+    labels = np.array(basis.labels, dtype=np.int64).reshape(-1, 3)
+    table = np.full(tuple(labels.max(axis=0) + 3), -1, dtype=np.int64)
+    table[tuple(labels.T + 1)] = np.arange(len(labels))
+
+    def hop(dx: int, dy: int, dz: int = 0):
+        target = table[tuple(labels.T + 1 + np.array([[dx], [dy], [dz]]))]
+        source = np.flatnonzero(target >= 0)
+        return source, target[source], labels[source, 0], labels[source, 1]
+
+    return labels, hop
+
+
+def _ho_lz(labels: np.ndarray, hop) -> np.ndarray:
+    # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>
+    L = np.zeros((len(labels), len(labels)))
+    source, target, nx, ny = hop(-1, 1)
+    L[target, source] = -np.sqrt(nx * (ny + 1))
+    source, target, nx, ny = hop(1, -1)
+    L[target, source] = -np.sqrt((nx + 1) * ny)
+    return L
+
+
 def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
                             constants: PhysicalConstants = CODATA2018) -> HermitianOperator:
     """Rotating-frame Hamiltonian of the circularly translated harmonic trap.
@@ -113,55 +145,42 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
     occupation basis, with the orbital velocity along +x.  Entries are in
     joules.  The first two terms are diagonal, the angular-momentum term
     couples (n_x, n_y) -> (n_x -+ 1, n_y +- 1) within an oscillator shell,
-    and the velocity term couples adjacent shells through p_x.
+    and the velocity term couples adjacent shells through p_x.  No term
+    changes n_z.
+
+    The matrix is written in the gauge |n> -> i^{n_x} |n>, where every
+    ladder element is real: L_z has elements -sqrt(n_x (n_y + 1)) and
+    -sqrt((n_x + 1) n_y), and -v p_x has -v sqrt((n_x + 1)/2) and
+    -v sqrt(n_x/2) in trap units.  The gauge leaves the spectrum unchanged.
     """
-    if basis.kind != "HO3D":
-        raise ValidationError("harmonic Hamiltonian needs an HO3D basis")
     if not isinstance(rotor.model, Harmonic):
         raise ValidationError("rotor model must be Harmonic")
+    labels, hop = _ho_hops(basis)
     omega0 = rotor.model.omega0
     wrel = rotor.Omega / omega0
     # dimensionless orbital velocity in trap units sqrt(hbar omega0 / m)
     vrel = rotor.v_c * sqrt(constants.electron_mass / (constants.hbar * omega0))
 
-    index = basis.index()
-    dim = basis.dimension
-    H = np.zeros((dim, dim), dtype=complex)
-    for j, (nx, ny, nz) in enumerate(basis.labels):
-        H[j, j] = nx + ny + nz + 1.5
-        # -(Omega/omega0) l_z with l_z = i (a_x a_y+ - a_x+ a_y)
-        t = (nx - 1, ny + 1, nz)
-        if t in index:
-            H[index[t], j] += -wrel * 1j * sqrt(nx * (ny + 1))
-        t = (nx + 1, ny - 1, nz)
-        if t in index:
-            H[index[t], j] += wrel * 1j * sqrt((nx + 1) * ny)
-        # -v p_x with p_x = i (a_x+ - a_x)/sqrt(2) in trap units
-        t = (nx + 1, ny, nz)
-        if t in index:
-            H[index[t], j] += -vrel * 1j * sqrt((nx + 1) / 2.0)
-        t = (nx - 1, ny, nz)
-        if t in index:
-            H[index[t], j] += vrel * 1j * sqrt(nx / 2.0)
+    H = -wrel * _ho_lz(labels, hop)
+    np.fill_diagonal(H, labels.sum(axis=1) + 1.5)
+    # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
+    source, target, nx, _ = hop(1, 0)
+    H[target, source] = -vrel * np.sqrt((nx + 1) / 2.0)
+    source, target, nx, _ = hop(-1, 0)
+    H[target, source] = -vrel * np.sqrt(nx / 2.0)
     H *= constants.hbar * omega0
     return HermitianOperator.from_matrix(basis, H)
 
 
 def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
-    """Axial angular momentum over the occupation basis, in units of hbar."""
-    if basis.kind != "HO3D":
-        raise ValidationError("angular momentum matrix needs an HO3D basis")
-    index = basis.index()
-    dim = basis.dimension
-    L = np.zeros((dim, dim), dtype=complex)
-    for j, (nx, ny, nz) in enumerate(basis.labels):
-        t = (nx - 1, ny + 1, nz)
-        if t in index:
-            L[index[t], j] += 1j * sqrt(nx * (ny + 1))
-        t = (nx + 1, ny - 1, nz)
-        if t in index:
-            L[index[t], j] += -1j * sqrt((nx + 1) * ny)
-    return HermitianOperator.from_matrix(basis, L)
+    """Axial angular momentum over the occupation basis, in units of hbar.
+
+    Written in the same real gauge |n> -> i^{n_x} |n> as
+    ho_rotating_hamiltonian: the elements are -sqrt(n_x (n_y + 1)) and
+    -sqrt((n_x + 1) n_y).
+    """
+    labels, hop = _ho_hops(basis)
+    return HermitianOperator.from_matrix(basis, _ho_lz(labels, hop))
 
 
 def displacement_parameters(rotor: RotorConfig,
