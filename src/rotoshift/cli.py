@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +68,7 @@ _DOPPLER_KEYS = {"delta_E_J", "v_m_per_s", "k_per_m", "k_direction"}
 # squares of rates stay finite.
 _MAX_RATE_RAD_S = CODATA2018.electron_mass * CODATA2018.light_speed ** 2 / CODATA2018.hbar
 _MAX_SWEEP_POINTS = 100000
+_MAX_INT = 2 ** 53
 
 
 def _fmt(value) -> str:
@@ -87,7 +89,9 @@ def _is_number(v) -> bool:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    # the float rule of _is_number, tightened to the float-exact integers so
+    # that products such as n^2 m_z stay finite
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= _MAX_INT
 
 
 class ConfigError(ValidationError):
@@ -187,6 +191,10 @@ def validate_config(raw: dict, command: str) -> dict:
                 and transition["upper"][0] <= transition["lower"][0]):
             problems.append("transition: upper shell must lie above the lower "
                             "shell (emission)")
+        if (pairs_ok and command == "spectrum" and model == "coulomb"
+                and not 1 <= transition["upper"][0] <= 10):
+            # the closed-form table grows as n^3, so check before building it
+            problems.append("transition.upper: the spectrum's top shell must lie in [1, 10]")
         if "M" in transition and not _is_int(transition["M"]):
             problems.append("transition.M: must be an integer")
 
@@ -466,6 +474,16 @@ def _run_compare_stark(config: dict):
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(columns, rows):
+    # every float cell must be finite; undefined ones are None, not nan
+    for row in rows:
+        for name, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OutOfRegimeError(
+                    f"{name} is not finite at {columns[0]} = {_fmt(row[0])}: "
+                    f"the computation leaves the double-precision range")
+
+
 def _render_csv(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
@@ -513,6 +531,7 @@ def run_scenario(config: dict, command: str, out: str = None,
         columns, rows = _run_sweep(config, M_override)
     else:
         raise ValidationError(f"unknown command {command!r}")
+    _check_finite(columns, rows)
 
     output = config.get("output") or {}
     path = out if out is not None else output.get("path")
@@ -526,7 +545,9 @@ def run_scenario(config: dict, command: str, out: str = None,
     return 0
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="rotoshift",
         description="Quasi-energy spectra and photon frequency shifts of "
@@ -547,7 +568,11 @@ def main(argv=None) -> int:
         if name in ("drfs", "sweep"):
             p.add_argument("--M", help="photon angular-momentum projection: an "
                                        "integer, or 'auto' for m_z - m_z'")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config) as handle:
@@ -563,9 +588,12 @@ def main(argv=None) -> int:
     M_override = getattr(args, "M", None)
     if M_override not in (None, "auto"):
         try:
-            int(M_override)
+            M_ok = abs(int(M_override)) <= _MAX_INT
         except ValueError:
-            print("error: --M takes an integer or 'auto'", file=sys.stderr)
+            M_ok = False
+        if not M_ok:
+            print("error: --M takes an integer of magnitude at most 2**53 or 'auto'",
+                  file=sys.stderr)
             return 2
 
     try:

@@ -247,8 +247,9 @@ def harmonic_shift_report(t: Transition, rotor: RotorConfig,
     kinematic = rotor.Omega * (t.effective_M() - (m_z - m_zp))
     drfs = kinematic + 0.0
     ratios = {}
-    if omega_rest > 0 and rotor.v_c != 0:
-        scale = omega_rest * rotor.v_c ** 2 / (2.0 * constants.light_speed ** 2)
+    scale = omega_rest * rotor.v_c ** 2 / (2.0 * constants.light_speed ** 2)
+    if scale > 0:
+        # v_c**2 can underflow to zero even when v_c is not
         ratios["transverse_doppler"] = drfs / scale
     return ShiftReport(transition=t, omega_rest=omega_rest,
                        omega_rotating=omega_rest + drfs, drfs=drfs,

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: schemas, exit codes, file handling."""
 
+import argparse
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 import rotoshift
 from rotoshift import CODATA2018, Coulomb, RotorConfig, Transition, drfs_exact
+from rotoshift import cli
 from rotoshift.cli import REPORT_COLUMNS, main
 
 C = CODATA2018
@@ -32,6 +34,16 @@ def parse_csv(text):
 
 def cell(header, row, column):
     return row[header.index(column)]
+
+
+def harmonic_drfs_config(**overrides):
+    config = {
+        "model": "harmonic",
+        "rotor": {"omega_rad_s": 3e12, "radius_m": 1e-10, "omega0_rad_s": 1e13},
+        "transition": {"upper": [2, 1], "lower": [1, 0]},
+    }
+    config.update(overrides)
+    return config
 
 
 def coulomb_drfs_config(**overrides):
@@ -366,31 +378,114 @@ def test_sweep_rejects_degenerate_range(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-def test_sweep_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
+def test_sweep_byte_identical_across_runs_and_threads(tmp_path):
     blobs = []
-    for i, threads in enumerate(("1", "1", "4")):
+    for i in range(3):
         out = tmp_path / f"sweep_{i}.csv"
         path = write_config(tmp_path, sweep_config(str(out), points=9),
                             name=f"cfg_{i}.json")
-        monkeypatch.setenv("ROTOSHIFT_THREADS", threads)
         assert main(["sweep", "--config", path]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize("command,block,key,value", [
-    ("drfs", "rotor", "omega_rad_s", float("nan")),
-    ("sweep", "sweep", "from", float("inf")),
-    ("drfs", "rotor", "radius_m", 10 ** 400),
-], ids=["nan", "infinity", "int-beyond-float"])
-def test_non_finite_number_rejected_naming_field(tmp_path, capsys, command,
+@pytest.mark.parametrize("model,command,block,key,value", [
+    ("coulomb", "drfs", "rotor", "omega_rad_s", float("nan")),
+    ("coulomb", "sweep", "sweep", "from", float("inf")),
+    ("coulomb", "drfs", "rotor", "radius_m", 10 ** 400),
+    ("coulomb", "drfs", "rotor", "Z", 10 ** 400),
+    ("coulomb", "drfs", "transition", "upper", [10 ** 400, 0]),
+    ("harmonic", "drfs", "transition", "upper", [10 ** 400, 0]),
+    ("coulomb", "drfs", "transition", "M", 10 ** 400),
+], ids=["nan", "infinity", "int-beyond-float", "int-Z", "int-upper-coulomb",
+        "int-upper-harmonic", "int-M"])
+def test_non_finite_number_rejected_naming_field(tmp_path, capsys, model, command,
                                                  block, key, value):
     config = sweep_config(str(tmp_path / "out.csv"))
+    if model == "harmonic":
+        config.update(harmonic_drfs_config())
     config[block][key] = value
     # json writes NaN and Infinity literals, which json.load accepts
     assert main([command, "--config", write_config(tmp_path, config)]) == 2
     assert f"{block}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_projection_override_beyond_float_exact_range(tmp_path, capsys):
+    path = write_config(tmp_path, coulomb_drfs_config())
+    assert main(["drfs", "--config", path, "--M", "7" * 400]) == 2
+    assert "--M" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["coulomb", "harmonic"])
+@pytest.mark.parametrize("command", ["drfs", "sweep", "spectrum"])
+@pytest.mark.parametrize("omega", [1e300, -1e300])
+def test_rotation_rate_beyond_compton_frequency_rejected(tmp_path, capsys, model,
+                                                         command, omega):
+    config = sweep_config(str(tmp_path / "out.csv"), scale="linear")
+    if model == "harmonic":
+        config.update(harmonic_drfs_config())
+    config["rotor"]["omega_rad_s"] = omega
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    assert "rotor.omega_rad_s" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("axis", ["radius", "drive"])
+def test_negative_sweep_endpoint_names_the_range(tmp_path, capsys, axis):
+    config = sweep_config(str(tmp_path / "out.csv"), scale="linear",
+                          lo=-1e-10, hi=1e-10)
+    config["sweep"]["axis"] = axis
+    config["drive"] = {"E_V_per_m": 1.0}
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) == 2
+    assert "sweep.from/to" in capsys.readouterr().err
+
+
+def test_sweep_points_cap_checked_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(cli, "_transition_row", no_rows)
+    config = sweep_config(str(tmp_path / "out.csv"), points=100001)
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) == 2
+    assert "sweep.points" in capsys.readouterr().err
+
+
+def test_coulomb_spectrum_shell_bound_names_field(tmp_path, capsys):
+    config = coulomb_drfs_config(transition={"upper": [11, 0], "lower": [1, 0]})
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 2
+    assert "transition.upper" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command,config,column,where", [
+    ("drfs", coulomb_drfs_config(rotor={"omega_rad_s": 1e12, "radius_m": 1e300}),
+     "quasi_energy_upper_J", "swept_value = 1.00000000000e+12"),
+    ("drfs", harmonic_drfs_config(rotor={"omega_rad_s": 3e12, "radius_m": 1e300,
+                                         "omega0_rad_s": 1e13}),
+     "quasi_energy_upper_J", "swept_value = 3.00000000000e+12"),
+    ("compare-stark", coulomb_drfs_config(drive={"E_V_per_m": 1e300}),
+     "level_enhanced_J", "shell = 2"),
+    ("drfs", coulomb_drfs_config(rotor={"omega_rad_s": 1e-300, "radius_m": 1e-10},
+                                 drive={"E_V_per_m": 1.0}),
+     "quasi_energy_upper_J", "swept_value = 1.00000000000e-300"),
+], ids=["coulomb-radius", "harmonic-radius", "stark-drive", "driven-slow-rotation"])
+def test_non_finite_result_exits_3(tmp_path, capsys, command, config, column, where):
+    out = tmp_path / "out.csv"
+    config = dict(config, output={"path": str(out)})
+    assert main([command, "--config", write_config(tmp_path, config)]) == 3
+    err = capsys.readouterr().err
+    assert column in err and where in err and "not finite" in err
+    assert not out.exists()
+
+
+def test_underflowing_orbital_speed_leaves_doppler_ratio_empty(tmp_path, capsys):
+    config = harmonic_drfs_config(rotor={"omega_rad_s": 3e12, "radius_m": 1e-200,
+                                         "omega0_rad_s": 1e13})
+    assert main(["drfs", "--config", write_config(tmp_path, config)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert cell(header, rows[0], "transverse_doppler_ratio") == ""
+    assert cell(header, rows[0], "drfs_exact_rad_s") == "0.00000000000e+00"
 
 
 @pytest.mark.parametrize("command", ["drfs", "sweep"])
@@ -442,6 +537,61 @@ def test_json_output_format(tmp_path, capsys):
     assert payload["columns"] == REPORT_COLUMNS
     assert len(payload["rows"]) == 1
     assert payload["rows"][0][REPORT_COLUMNS.index("force_ratio")] is None
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_built_on_first_call_only(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write_config(tmp_path, coulomb_drfs_config())
+    per_call = []
+    for _ in range(3):
+        before = len(built)
+        assert main(["drfs", "--config", path]) == 0
+        per_call.append(len(built) - before)
+    capsys.readouterr()
+    assert per_call[0] > 0 and per_call[1:] == [0, 0]
+
+
+def test_reused_parser_is_stateless(tmp_path, capsys):
+    drfs = write_config(tmp_path, coulomb_drfs_config(), name="drfs.json")
+    stdout_sweep = sweep_config(None, points=4)
+    del stdout_sweep["output"]
+    sweep = write_config(tmp_path, stdout_sweep, name="sweep.json")
+    spectrum = write_config(tmp_path, {
+        "model": "harmonic",
+        "rotor": {"omega_rad_s": 5e11, "radius_m": 2e-12, "omega0_rad_s": 1e13},
+        "basis_n_max": 3}, name="spectrum.json")
+    calls = [["drfs", "--config", drfs, "--M", "3"], ["drfs", "--config", drfs],
+             ["drfs"], ["sweep", "--config", sweep], ["spectrum", "--config", spectrum]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code,) + tuple(capsys.readouterr())
+
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0]
+    assert "--config" in reused[2][2]
+    assert ",3," in reused[0][1] and ",1," in reused[1][1]
 
 
 def test_installed_entry_point_runs(tmp_path):

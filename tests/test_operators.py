@@ -137,6 +137,36 @@ def test_lz_commutes_with_pure_rotation_hamiltonian():
     assert np.max(np.abs(comm)) <= 1e-10 * np.max(np.abs(H)) * np.max(np.abs(L))
 
 
+def test_real_gauge_matches_ladder_matrices():
+    # build L_z = i (a_x a_y+ - a_x+ a_y) and the rotating-frame Hamiltonian
+    # from complex ladder elements, then move them to the gauge D = diag(i^n_x)
+    c = CODATA2018
+    basis = build_ho_basis(6)
+    rotor = harmonic_rotor(0.3, 0.05)
+    wrel = rotor.Omega / OMEGA0
+    vrel = rotor.v_c * sqrt(c.electron_mass / (c.hbar * OMEGA0))
+    index = basis.index()
+    dim = basis.dimension
+    L = np.zeros((dim, dim), dtype=complex)
+    P = np.zeros((dim, dim), dtype=complex)
+    for (nx, ny, nz), j in index.items():
+        for target, value, out in (((nx - 1, ny + 1, nz), 1j * sqrt(nx * (ny + 1)), L),
+                                   ((nx + 1, ny - 1, nz), -1j * sqrt((nx + 1) * ny), L),
+                                   ((nx + 1, ny, nz), 1j * sqrt((nx + 1) / 2), P),
+                                   ((nx - 1, ny, nz), -1j * sqrt(nx / 2), P)):
+            if target in index:
+                out[index[target], j] = value
+    H = np.diag([sum(label) + 1.5 for label in basis.labels]) - wrel * L - vrel * P
+    H *= c.hbar * OMEGA0
+    D = np.diag([1j ** nx for nx, _, _ in basis.labels])
+    for got, ladder in ((ho_rotating_hamiltonian(basis, rotor).matrix, H),
+                        (ho_lz_matrix(basis).matrix, L)):
+        assert np.isrealobj(got)
+        want = D.conj().T @ ladder @ D
+        assert np.max(np.abs(want.imag)) <= 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want.real)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_lz_spectrum_multiplicities():
     N_max = 5
     basis = build_ho_basis(N_max)

@@ -10,8 +10,10 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
+from rotoshift import quasienergy
+
 from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
-                       PerturbativeRegimeWarning, RotorConfig,
+                       PerturbativeRegimeWarning, RotoshiftError, RotorConfig,
                        SpectrumResult, StateNotFoundError, ValidationError,
                        atomic_velocity, build_ho_basis, crossed_field_levels,
                        driven_rotating_levels, driven_splitting_parameter,
@@ -78,6 +80,39 @@ def test_eigen_spectrum_simple_matrices():
 def test_eigen_spectrum_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         eigen_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def interleaved_blocks():
+    # a real symmetric 3x3 block and a complex Hermitian 4x4 block, their
+    # rows and columns shuffled into each other
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(3, 3))
+    B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = np.zeros((7, 7), dtype=complex)
+    H[:3, :3] = A + A.T
+    H[3:, 3:] = B + B.conj().T
+    order = rng.permutation(7)
+    return H[np.ix_(order, order)], order
+
+
+def test_eigen_spectrum_splits_interleaved_blocks():
+    H, order = interleaved_blocks()
+    blocks = quasienergy._coupled_blocks(H)
+    assert sorted(sorted(order[b].tolist()) for b in blocks) == [[0, 1, 2], [3, 4, 5, 6]]
+    got = eigen_spectrum(H).energies()
+    want = np.linalg.eigvalsh(H)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_eigen_spectrum_residual_check_fires(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(matrix):
+        vals, vecs = eigh(matrix)
+        return vals, vecs + 1e-6
+    monkeypatch.setattr(quasienergy.np.linalg, "eigh", perturbed)
+    with pytest.raises(RotoshiftError, match="residual"):
+        eigen_spectrum(interleaved_blocks()[0])
 
 
 def test_first_order_levels_offset():

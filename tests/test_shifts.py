@@ -363,6 +363,16 @@ def test_harmonic_report_null_shift():
     assert rep.ratios["transverse_doppler"] == 0.0
 
 
+def test_harmonic_report_underflowing_speed_leaves_ratio_out():
+    # v_c = 3e-188 m/s is nonzero but its square underflows to zero, so the
+    # transverse Doppler scale is zero and the ratio is undefined, as at v_c = 0
+    rotor = RotorConfig(Omega=3e12, R=1e-200, model=Harmonic(omega0=1e13))
+    assert rotor.v_c != 0 and rotor.v_c ** 2 == 0
+    rep = harmonic_shift_report(Transition(upper=(2, 1), lower=(1, 0)), rotor)
+    assert rep.drfs == 0.0
+    assert "transverse_doppler" not in rep.ratios
+
+
 def test_harmonic_report_kinematic_override():
     rotor = RotorConfig(Omega=3e12, R=1e-10, model=Harmonic(omega0=1e13))
     t = Transition(upper=(2, 1), lower=(1, 0), M=2)
