@@ -67,8 +67,12 @@ _DOPPLER_KEYS = {"delta_E_J", "v_m_per_s", "k_per_m", "k_direction"}
 # energy is outside every nonrelativistic formula here, and below it the
 # squares of rates stay finite.
 _MAX_RATE_RAD_S = CODATA2018.electron_mass * CODATA2018.light_speed ** 2 / CODATA2018.hbar
-_MAX_SWEEP_POINTS = 100000
+# Largest table a sweep (points) or compare-stark (2n - 1 rows per shell) writes
+_MAX_ROWS = 100000
 _MAX_INT = 2 ** 53
+# Lowest shell and the label rule of each model's [q, m_z] levels
+_LEVEL_RULES = {"coulomb": (1, "n >= 1 and |m_z| <= n - 1"),
+                "harmonic": (0, "N >= 0 and |m_z| <= N")}
 
 
 def _fmt(value) -> str:
@@ -163,6 +167,9 @@ def validate_config(raw: dict, command: str) -> dict:
                 if not _is_number(rotor.get("omega0_rad_s")) or rotor.get("omega0_rad_s", 0) <= 0:
                     problems.append("rotor.omega0_rad_s: required positive number "
                                     "for the harmonic model")
+                elif rotor["omega0_rad_s"] * CODATA2018.hbar < sys.float_info.min:
+                    problems.append("rotor.omega0_rad_s: the trap quantum hbar omega0 "
+                                    "underflows double precision")
                 else:
                     _check_rate(rotor["omega0_rad_s"], "rotor.omega0_rad_s", problems)
                 if "Z" in rotor:
@@ -187,6 +194,17 @@ def validate_config(raw: dict, command: str) -> dict:
                     or not all(_is_int(v) for v in pair)):
                 problems.append(f"transition.{name}: must be [q, m_z] integers")
                 pairs_ok = False
+        if pairs_ok and command in ("drfs", "sweep", "compare-stark") and model in _LEVEL_RULES:
+            low, rule = _LEVEL_RULES[model]
+            for name in ("upper", "lower"):
+                q, m_z = transition[name]
+                if q < low or abs(m_z) > q - low:
+                    problems.append(f"transition.{name}: a {model} level needs {rule}")
+        if (pairs_ok and command == "compare-stark"
+                and sum(2 * q - 1 for q in {transition["upper"][0], transition["lower"][0]})
+                > _MAX_ROWS):
+            problems.append(f"transition.upper/lower: compare-stark writes 2n - 1 rows per "
+                            f"shell, at most {_MAX_ROWS} in all")
         if (pairs_ok and command in ("drfs", "sweep")
                 and transition["upper"][0] <= transition["lower"][0]):
             problems.append("transition: upper shell must lie above the lower "
@@ -237,8 +255,8 @@ def validate_config(raw: dict, command: str) -> dict:
             elif axis == "omega":
                 _check_rate(max(abs(lo), abs(hi)), "sweep.from/to", problems)
             points = sweep.get("points")
-            if not _is_int(points) or not 2 <= points <= _MAX_SWEEP_POINTS:
-                problems.append(f"sweep.points: must be an integer in [2, {_MAX_SWEEP_POINTS}]")
+            if not _is_int(points) or not 2 <= points <= _MAX_ROWS:
+                problems.append(f"sweep.points: must be an integer in [2, {_MAX_ROWS}]")
             if axis == "drive":
                 if model != "coulomb":
                     problems.append("sweep.axis=drive: requires the coulomb model")
@@ -271,12 +289,35 @@ def validate_config(raw: dict, command: str) -> dict:
             if has_k:
                 _vector3(doppler["k_per_m"], "doppler.k_per_m", problems)
             if has_dir:
-                _vector3(doppler["k_direction"], "doppler.k_direction", problems)
+                k_hat = _vector3(doppler["k_direction"], "doppler.k_direction", problems)
+                # the direction is divided by its length, so the squared
+                # length must neither underflow to zero nor overflow
+                if k_hat is not None and not 0 < sum(c * c for c in k_hat) < math.inf:
+                    problems.append("doppler.k_direction: must be a nonzero vector "
+                                    "whose length double precision holds")
 
     if "basis_n_max" in raw:
         n_max = raw["basis_n_max"]
         if not _is_int(n_max) or not 0 <= n_max <= 20:
             problems.append("basis_n_max: must be an integer in [0, 20]")
+
+    if not problems and isinstance(drive, dict) and command in ("drfs", "sweep", "compare-stark"):
+        # a drive points along the orbit vector and is taken in the rotating
+        # frame, so wherever it is nonzero it needs R > 0 and Omega != 0
+        rates = [rotor.get("omega_rad_s", rotor.get("omega_over_2pi_hz"))] * 2
+        radius = rotor["radius_m"]
+        driven = drive["E_V_per_m"] > 0
+        if command == "sweep":
+            ends = sorted((sweep["from"], sweep["to"]))
+            if sweep["axis"] == "omega":
+                rates = ends
+            elif sweep["axis"] == "radius":
+                radius = ends[0]
+            else:
+                driven = True
+        if driven and (radius <= 0 or rates[0] <= 0 <= rates[1]):
+            problems.append("drive.E_V_per_m: a nonzero drive needs a positive orbit "
+                            "radius and a nonzero rotation rate")
 
     if problems:
         raise ConfigError(problems)
@@ -405,19 +446,28 @@ def _run_sweep(config: dict, M_override):
     return REPORT_COLUMNS, [build(v) for v in values]
 
 
+def _closed_form_spectrum(spectrum, top: int, rotor: RotorConfig):
+    # the config is valid here, so the spectrum's one remaining objection is
+    # a level that leaves double precision, which is out of regime (exit 3)
+    try:
+        return spectrum(top, rotor, CODATA2018)
+    except ValidationError as exc:
+        raise OutOfRegimeError(f"quasi_energy_closed_form_J: {exc}") from exc
+
+
 def _run_spectrum(config: dict):
     constants = CODATA2018
     rotor = _build_rotor(config)
     if config["model"] == "harmonic":
         n_max = int(config.get("basis_n_max", 10))
-        analytic = ho_rotating_spectrum(n_max, rotor, constants)
+        analytic = _closed_form_spectrum(ho_rotating_spectrum, n_max, rotor)
         H = ho_rotating_hamiltonian(build_ho_basis(n_max), rotor, constants)
         numeric = eigen_spectrum(H).energies()
         columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J",
                    "quasi_energy_diagonalized_J"]
     else:
         n_top = int(config["transition"]["upper"][0])
-        analytic = rotating_coulomb_spectrum(n_top, rotor, constants)
+        analytic = _closed_form_spectrum(rotating_coulomb_spectrum, n_top, rotor)
         fields = fictitious_fields(rotor, constants)
         pieces = []
         for n in range(1, n_top + 1):
@@ -519,18 +569,24 @@ def run_scenario(config: dict, command: str, out: str = None,
     validity window; main() maps those onto exit codes 2 and 3.
     """
     config = validate_config(config, command)
-    if command == "spectrum":
-        columns, rows = _run_spectrum(config)
-    elif command == "drfs":
-        columns, rows = _run_drfs(config, M_override)
-    elif command == "doppler":
-        columns, rows = _run_doppler(config)
-    elif command == "compare-stark":
-        columns, rows = _run_compare_stark(config)
-    elif command == "sweep":
-        columns, rows = _run_sweep(config, M_override)
-    else:
-        raise ValidationError(f"unknown command {command!r}")
+    try:
+        if command == "spectrum":
+            columns, rows = _run_spectrum(config)
+        elif command == "drfs":
+            columns, rows = _run_drfs(config, M_override)
+        elif command == "doppler":
+            columns, rows = _run_doppler(config)
+        elif command == "compare-stark":
+            columns, rows = _run_compare_stark(config)
+        elif command == "sweep":
+            columns, rows = _run_sweep(config, M_override)
+        else:
+            raise ValidationError(f"unknown command {command!r}")
+    except (ZeroDivisionError, OverflowError) as exc:
+        # a division by a product that underflowed to zero, or a square past
+        # the float range: like a non-finite cell, out of double precision
+        raise OutOfRegimeError(f"the computation leaves the double-precision "
+                               f"range ({exc})") from exc
     _check_finite(columns, rows)
 
     output = config.get("output") or {}

@@ -2,9 +2,8 @@
 
 Constant values are compiled in (CODATA 2018) rather than looked up at
 runtime, so that report files are reproducible regardless of the installed
-version of any third-party constants table.  Internal computations run in
-atomic units for conditioning; every public interface takes and returns SI
-unless its docstring says otherwise.
+version of any third-party constants table.  Computations run in SI; every
+public interface takes and returns SI unless its docstring says otherwise.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Two models are covered: a three-dimensional harmonic trap whose center moves
 on a circle, and a hydrogen-like atom held at fixed distance from a rotation
-axis.  Matrices are assembled element by element from exact ladder-operator
-or dipole matrix elements, then projected onto the truncated basis, so each
-stored entry is exact; truncation only removes couplings out of the basis.
+axis.  Matrices are assembled by index arithmetic over a label -> index
+table from exact ladder-operator or dipole matrix elements, so each stored
+entry is exact; truncation only removes couplings out of the basis.  The
+shell's x and y follow from z through the commutators with L+-.
 """
 
 from __future__ import annotations
@@ -100,39 +101,41 @@ def hydrogen_manifold_basis(n: int) -> TruncatedBasis:
     return TruncatedBasis(kind="HydrogenManifold", labels=tuple(labels))
 
 
+def _label_hops(basis: TruncatedBasis):
+    """Label array and hop function of any truncated basis.
+
+    hop(*shift) returns (source, target): the basis indices of every label
+    whose shift by `shift` stays inside the basis, and the indices of the
+    shifted labels; callers read occupations from labels[source].  Targets
+    come from a label -> index table padded by one on each side of each
+    label component's range.
+    """
+    labels = np.array(basis.labels, dtype=np.int64)
+    low = labels.min(axis=0) - 1
+    table = np.full(tuple(labels.max(axis=0) - low + 2), -1, dtype=np.int64)
+    table[tuple((labels - low).T)] = np.arange(len(labels))
+
+    def hop(*shift: int):
+        target = table[tuple((labels - low + shift).T)]
+        source = np.flatnonzero(target >= 0)
+        return source, target[source]
+
+    return labels, hop
+
+
 # ---------------------------------------------------------------------------
 # harmonic trap on a turntable
 # ---------------------------------------------------------------------------
 
 
-def _ho_hops(basis: TruncatedBasis):
-    """Label array and hop function of an HO3D basis.
-
-    hop(dx, dy, dz) returns (source, target, n_x, n_y): the basis indices
-    of every label n whose shift n + (dx, dy, dz) stays inside the basis,
-    the indices of the shifted labels, and the source occupations.  Targets
-    come from a label -> index table padded by one on each side.
-    """
-    if basis.kind != "HO3D":
-        raise ValidationError("oscillator operators need an HO3D basis")
-    labels = np.array(basis.labels, dtype=np.int64).reshape(-1, 3)
-    table = np.full(tuple(labels.max(axis=0) + 3), -1, dtype=np.int64)
-    table[tuple(labels.T + 1)] = np.arange(len(labels))
-
-    def hop(dx: int, dy: int, dz: int = 0):
-        target = table[tuple(labels.T + 1 + np.array([[dx], [dy], [dz]]))]
-        source = np.flatnonzero(target >= 0)
-        return source, target[source], labels[source, 0], labels[source, 1]
-
-    return labels, hop
-
-
 def _ho_lz(labels: np.ndarray, hop) -> np.ndarray:
     # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>
     L = np.zeros((len(labels), len(labels)))
-    source, target, nx, ny = hop(-1, 1)
+    source, target = hop(-1, 1, 0)
+    nx, ny = labels[source, 0], labels[source, 1]
     L[target, source] = -np.sqrt(nx * (ny + 1))
-    source, target, nx, ny = hop(1, -1)
+    source, target = hop(1, -1, 0)
+    nx, ny = labels[source, 0], labels[source, 1]
     L[target, source] = -np.sqrt((nx + 1) * ny)
     return L
 
@@ -155,7 +158,9 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
     """
     if not isinstance(rotor.model, Harmonic):
         raise ValidationError("rotor model must be Harmonic")
-    labels, hop = _ho_hops(basis)
+    if basis.kind != "HO3D":
+        raise ValidationError("oscillator operators need an HO3D basis")
+    labels, hop = _label_hops(basis)
     omega0 = rotor.model.omega0
     wrel = rotor.Omega / omega0
     # dimensionless orbital velocity in trap units sqrt(hbar omega0 / m)
@@ -164,10 +169,10 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
     H = -wrel * _ho_lz(labels, hop)
     np.fill_diagonal(H, labels.sum(axis=1) + 1.5)
     # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
-    source, target, nx, _ = hop(1, 0)
-    H[target, source] = -vrel * np.sqrt((nx + 1) / 2.0)
-    source, target, nx, _ = hop(-1, 0)
-    H[target, source] = -vrel * np.sqrt(nx / 2.0)
+    source, target = hop(1, 0, 0)
+    H[target, source] = -vrel * np.sqrt((labels[source, 0] + 1) / 2.0)
+    source, target = hop(-1, 0, 0)
+    H[target, source] = -vrel * np.sqrt(labels[source, 0] / 2.0)
     H *= constants.hbar * omega0
     return HermitianOperator.from_matrix(basis, H)
 
@@ -179,8 +184,9 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
     ho_rotating_hamiltonian: the elements are -sqrt(n_x (n_y + 1)) and
     -sqrt((n_x + 1) n_y).
     """
-    labels, hop = _ho_hops(basis)
-    return HermitianOperator.from_matrix(basis, _ho_lz(labels, hop))
+    if basis.kind != "HO3D":
+        raise ValidationError("oscillator operators need an HO3D basis")
+    return HermitianOperator.from_matrix(basis, _ho_lz(*_label_hops(basis)))
 
 
 def displacement_parameters(rotor: RotorConfig,
@@ -255,56 +261,40 @@ def radial_dipole_integral(n: int, l: int, l_prime: int) -> float:
     return float(val)
 
 
-def _angular_cos(lp: int, mp: int, l: int, m: int) -> float:
-    # <l' m'| cos(theta) |l m>, Condon-Shortley phases
-    if mp != m:
-        return 0.0
-    if lp == l + 1:
-        return sqrt((l + 1.0 - m) * (l + 1.0 + m) / ((2 * l + 1.0) * (2 * l + 3.0)))
-    if lp == l - 1:
-        return sqrt((l - m) * (l + m) / ((2 * l - 1.0) * (2 * l + 1.0)))
-    return 0.0
-
-
-def _angular_sin_exp(lp: int, mp: int, l: int, m: int, s: int) -> float:
-    # <l' m'| sin(theta) e^{i s phi} |l m> for s = +-1
-    if mp != m + s:
-        return 0.0
-    if lp == l + 1:
-        if s == 1:
-            return -sqrt((l + m + 1.0) * (l + m + 2.0) / ((2 * l + 1.0) * (2 * l + 3.0)))
-        return sqrt((l - m + 1.0) * (l - m + 2.0) / ((2 * l + 1.0) * (2 * l + 3.0)))
-    if lp == l - 1:
-        if s == 1:
-            return sqrt((l - m) * (l - m - 1.0) / ((2 * l - 1.0) * (2 * l + 1.0)))
-        return -sqrt((l + m) * (l + m - 1.0) / ((2 * l - 1.0) * (2 * l + 1.0)))
-    return 0.0
-
-
 def manifold_position_matrices(n: int):
     """Cartesian position matrices (x, y, z) over one shell, in a0/Z units.
 
-    Built from the radial quadrature and the spherical-harmonic ladder
-    formulas; all three are Hermitian and vanish on the diagonal by parity.
+    z is the radial quadrature times the cos(theta) factor
+    sqrt((l< + 1 - m)(l< + 1 + m) / ((2 l< + 1)(2 l< + 3))) on each
+    l -> l +- 1 hop, l< the smaller of the two l.  x and y follow from
+    x + iy = -[L+, z] and x - iy = [L-, z], with L+ sqrt(l(l+1) - m(m+1))
+    on the m -> m+1 hop and L- its transpose; L+- keeps n and l, so the
+    commutators are exact inside the shell.  All three are Hermitian and
+    vanish on the diagonal by parity; x and z are real, y purely imaginary.
     """
     basis = hydrogen_manifold_basis(n)
-    d = basis.dimension
-    radial = {(l, lp): radial_dipole_integral(n, l, lp)
-              for l in range(n) for lp in (l - 1, l + 1) if 0 <= lp < n}
-    X = np.zeros((d, d), dtype=complex)
-    Y = np.zeros((d, d), dtype=complex)
-    Z = np.zeros((d, d), dtype=complex)
-    for j, (_, l, m) in enumerate(basis.labels):
-        for i, (_, lp, mp) in enumerate(basis.labels):
-            if abs(lp - l) != 1:
-                continue
-            rad = radial[l, lp]
-            plus = _angular_sin_exp(lp, mp, l, m, +1)
-            minus = _angular_sin_exp(lp, mp, l, m, -1)
-            X[i, j] = rad * 0.5 * (plus + minus)
-            Y[i, j] = rad * (plus - minus) / 2j
-            Z[i, j] = rad * _angular_cos(lp, mp, l, m)
-    return basis, X, Y, Z
+    labels, hop = _label_hops(basis)
+    # radial[l', l] = <n l'| r |n l>, each direction its own quadrature
+    radial = np.zeros((n, n))
+    for l in range(n - 1):
+        radial[l + 1, l] = radial_dipole_integral(n, l, l + 1)
+        radial[l, l + 1] = radial_dipole_integral(n, l + 1, l)
+    Z = np.zeros((basis.dimension, basis.dimension))
+    for dl in (-1, 1):
+        source, target = hop(0, dl, 0)
+        l, m = labels[source, 1], labels[source, 2]
+        low = l + min(dl, 0)
+        cos = np.sqrt((low + 1 - m) * (low + 1 + m) / ((2 * low + 1) * (2 * low + 3)))
+        Z[target, source] = radial[l + dl, l] * cos
+    Lp = np.zeros_like(Z)
+    source, target = hop(0, 0, 1)
+    l, m = labels[source, 1], labels[source, 2]
+    Lp[target, source] = np.sqrt(l * (l + 1) - m * (m + 1))
+    plus = Z @ Lp - Lp @ Z
+    minus = Lp.T @ Z - Z @ Lp.T
+    X = 0.5 * (plus + minus)
+    Y = 0.5j * (minus - plus)
+    return basis, X.astype(complex), Y, Z.astype(complex)
 
 
 def manifold_perturbation(n: int, fields: CrossedFields,
@@ -325,6 +315,6 @@ def manifold_perturbation(n: int, fields: CrossedFields,
     Ex, Ey, Ez = (float(c) for c in fields.total_stark_field())
     W = -e * length * (Ex * X + Ey * Y + Ez * Zmat)
     larmor = e * float(fields.pseudo_B[2]) / (2.0 * constants.electron_mass)
-    for j, (_, _, m) in enumerate(basis.labels):
-        W[j, j] += -larmor * constants.hbar * m
+    diagonal = np.arange(basis.dimension)
+    W[diagonal, diagonal] += -larmor * constants.hbar * np.array(basis.labels)[:, 2]
     return HermitianOperator.from_matrix(basis, W)

@@ -497,6 +497,106 @@ def test_non_emitting_transition_rejected(tmp_path, capsys, command, upper, lowe
     assert "transition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,command,upper,lower,field", [
+    ("coulomb", "drfs", [3, 5], [2, 1], "transition.upper"),
+    ("coulomb", "sweep", [3, 2], [0, 0], "transition.lower"),
+    ("harmonic", "drfs", [2, 5], [1, 0], "transition.upper"),
+    ("harmonic", "sweep", [2, 1], [-1, 0], "transition.lower"),
+    ("coulomb", "compare-stark", [0, 0], [2, 1], "transition.upper"),
+    ("coulomb", "compare-stark", [-3, 0], [2, 1], "transition.upper"),
+    ("coulomb", "compare-stark", [50001, 0], [2, 1], "transition.upper/lower"),
+], ids=["coulomb-m", "coulomb-q", "harmonic-m", "harmonic-N", "stark-zero",
+        "stark-negative", "stark-rows"])
+def test_level_labels_checked_naming_field(tmp_path, capsys, monkeypatch, model,
+                                           command, upper, lower, field):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(cli, "driven_rotating_levels", no_rows)
+    config = sweep_config(str(tmp_path / "out.csv"))
+    if model == "harmonic":
+        config.update(harmonic_drfs_config())
+    config["transition"] = {"upper": upper, "lower": lower}
+    if command == "compare-stark":
+        config["drive"] = {"E_V_per_m": 3e4}
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_trap_quantum_must_not_underflow(tmp_path, capsys):
+    config = {"model": "harmonic",
+              "rotor": {"omega_rad_s": 1e12, "radius_m": 1e-10, "omega0_rad_s": 1e-300},
+              "basis_n_max": 2}
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 2
+    assert "error: rotor.omega0_rad_s:" in capsys.readouterr().err
+    config["rotor"]["omega0_rad_s"] = 1e-200
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 10
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
+@pytest.mark.parametrize("command,config,text", [
+    ("spectrum", {"model": "harmonic", "basis_n_max": 2,
+                  "rotor": {"omega_rad_s": 0.0, "radius_m": 1e-10, "omega0_rad_s": 1e-200}},
+     "float division by zero"),
+    ("drfs", harmonic_drfs_config(rotor={"omega_rad_s": 1e12, "radius_m": 1e190,
+                                         "omega0_rad_s": 1e13}),
+     "out of range"),
+    ("compare-stark", coulomb_drfs_config(rotor={"omega_over_2pi_hz": 5e-324,
+                                                 "radius_m": 1e-10},
+                                          drive={"E_V_per_m": 3e4}),
+     "float division by zero"),
+    ("compare-stark", coulomb_drfs_config(drive={"E_V_per_m": 5e-324}),
+     "float division by zero"),
+    ("spectrum", coulomb_drfs_config(rotor={"omega_rad_s": 1e12, "radius_m": 1e300}),
+     "quasi_energy_closed_form_J"),
+], ids=["trap-squares-underflow", "orbital-speed-squared", "driven-rate-underflows",
+        "drive-force-underflows", "closed-form-overflows"])
+def test_double_precision_range_exits_3(tmp_path, capsys, command, config, text):
+    out = tmp_path / "out.csv"
+    config = dict(config, output={"path": str(out)})
+    assert main([command, "--config", write_config(tmp_path, config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,rotor,sweep", [
+    ("drfs", {"radius_m": 0.0}, None),
+    ("drfs", {"omega_rad_s": 0.0}, None),
+    ("compare-stark", {"radius_m": 0.0}, None),
+    ("compare-stark", {"omega_rad_s": 0.0}, None),
+    ("sweep", {"radius_m": 0.0}, {"axis": "omega", "from": 1e10, "to": 1e12}),
+    ("sweep", {}, {"axis": "omega", "from": -1e12, "to": 1e12}),
+    ("sweep", {}, {"axis": "radius", "from": 0.0, "to": 1e-10}),
+    ("sweep", {"omega_rad_s": 0.0}, {"axis": "radius", "from": 1e-11, "to": 1e-10}),
+    ("sweep", {"radius_m": 0.0}, {"axis": "drive", "from": 0.0, "to": 1e3}),
+], ids=["drfs-radius", "drfs-rate", "stark-radius", "stark-rate", "omega-sweep-radius",
+        "omega-sweep-through-zero", "radius-sweep-from-zero", "radius-sweep-rate",
+        "drive-sweep-radius"])
+def test_drive_needs_orbit_and_rotation(tmp_path, capsys, command, rotor, sweep):
+    config = sweep_config(str(tmp_path / "out.csv"), scale="linear")
+    config["rotor"].update(rotor)
+    config["drive"] = {"E_V_per_m": 3e4}
+    if sweep is not None:
+        config["sweep"].update(sweep, points=4)
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    assert "error: drive.E_V_per_m:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0],
+                                       [1e-300, 0.0, 0.0]],
+                         ids=["zero", "length-overflows", "length-underflows"])
+def test_doppler_direction_needs_a_length(tmp_path, capsys, direction):
+    config = {"doppler": {"delta_E_J": 1e-19, "v_m_per_s": [300.0, 0.0, 0.0],
+                          "k_direction": direction}}
+    assert main(["doppler", "--config", write_config(tmp_path, config)]) == 2
+    assert "error: doppler.k_direction:" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy():
     src = os.path.dirname(os.path.dirname(rotoshift.__file__))
     env = dict(os.environ, PYTHONPATH=src)

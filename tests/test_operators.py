@@ -269,40 +269,52 @@ def test_radial_integral_selection_rules():
         radial_dipole_integral(0, 0, 1)
 
 
+def _spherical_components(n):
+    """Shell basis and the q = +1, -1, 0 matrices x + iy, x - iy and z."""
+    basis, X, Y, Z = manifold_position_matrices(n)
+    return basis, ((1, X + 1j * Y), (-1, X - 1j * Y), (0, Z))
+
+
 def test_angular_factors_match_gaunt_coefficients():
     # independent oracle: cos(theta) = sqrt(4pi/3) Y_10 and
     # sin(theta) e^{+-i phi} = -+ sqrt(8pi/3) Y_1+-1, so every angular factor
-    # is a Gaunt integral with a known prefactor
-    sympy = pytest.importorskip("sympy")
+    # of x + iy, x - iy and z is a Gaunt integral with a known prefactor
+    pytest.importorskip("sympy")
     from sympy.physics.wigner import gaunt
-
-    from rotoshift.operators import _angular_cos, _angular_sin_exp
 
     def oracle(lp, mp, l, m, q):
         pref = {0: sqrt(4 * pi / 3), 1: -sqrt(8 * pi / 3), -1: sqrt(8 * pi / 3)}[q]
         g = float(gaunt(lp, 1, l, -mp, q, m))
         return pref * (-1.0) ** mp * g
 
-    for l in range(5):
-        for lp in (l - 1, l + 1):
-            if not 0 <= lp <= 4:
-                continue
-            for m in range(-l, l + 1):
-                for q, fn in ((0, lambda lp, mp, l, m: _angular_cos(lp, mp, l, m)),
-                              (1, lambda lp, mp, l, m: _angular_sin_exp(lp, mp, l, m, 1)),
-                              (-1, lambda lp, mp, l, m: _angular_sin_exp(lp, mp, l, m, -1))):
-                    mp = m + q
-                    if abs(mp) > lp:
-                        continue
-                    got = fn(lp, mp, l, m)
-                    assert got == pytest.approx(oracle(lp, mp, l, m, q), abs=1e-12)
+    n = 5
+    basis, components = _spherical_components(n)
+    checked = 0
+    for q, M in components:
+        for j, (_, l, m) in enumerate(basis.labels):
+            for i, (_, lp, mp) in enumerate(basis.labels):
+                if abs(lp - l) != 1 or mp != m + q:
+                    continue
+                angular = M[i, j] / radial_dipole_integral(n, l, lp)
+                assert abs(angular - oracle(lp, mp, l, m, q)) <= 1e-12
+                checked += 1
+    assert checked > 0
 
 
 def test_angular_factors_vanish_off_selection_rule():
-    from rotoshift.operators import _angular_cos, _angular_sin_exp
-    assert _angular_cos(2, 1, 1, 0) == 0.0       # m' != m
-    assert _angular_cos(3, 0, 1, 0) == 0.0       # |l' - l| != 1
-    assert _angular_sin_exp(2, 0, 1, 0, 1) == 0.0  # m' != m + 1
+    basis, components = _spherical_components(5)
+    index = {label: k for k, label in enumerate(basis.labels)}
+    z = dict(components)[0]
+    plus = dict(components)[1]
+    assert z[index[5, 2, 1], index[5, 1, 0]] == 0.0     # m' != m
+    assert z[index[5, 3, 0], index[5, 1, 0]] == 0.0     # |l' - l| != 1
+    assert plus[index[5, 2, 0], index[5, 1, 0]] == 0.0  # m' != m + 1
+    # and exactly zero on every off-rule pair of the shell
+    for q, M in components:
+        for j, (_, l, m) in enumerate(basis.labels):
+            for i, (_, lp, mp) in enumerate(basis.labels):
+                if abs(lp - l) != 1 or mp != m + q:
+                    assert M[i, j] == 0.0
 
 
 def test_position_matrices_structure():
