@@ -8,8 +8,7 @@ diagonalization to validate them, and the resulting shift of the emitted
 photon frequency relative to the emitter at rest.
 """
 
-from .constants import (CODATA2018, DIMENSIONS, PhysicalConstants, UnitSystem,
-                        atomic_units, atomic_velocity, convert, si_units)
+from .constants import CODATA2018, PhysicalConstants, atomic_velocity
 from .errors import (OutOfRegimeError, PerturbativeRegimeWarning,
                      ResonanceError, RotoshiftError, SelectionRuleError,
                      StateNotFoundError, UnphysicalTransitionError,
@@ -28,9 +27,8 @@ from .quasienergy import (SpectrumResult, crossed_field_levels,
                           splitting_expansion_parameter)
 from .rotor import (RESONANCE_TOLERANCE, Coulomb, CrossedFields, Harmonic,
                     RotorConfig, drive_field_vector, fictitious_fields)
-from .shifts import (ALT_SERIES_COEFFICIENT, SERIES_COEFFICIENT,
-                     FieldModeLabel, ShiftReport, Transition,
-                     doppler_frequency, drfs_exact, drfs_series,
+from .shifts import (ALT_SERIES_COEFFICIENT, SERIES_COEFFICIENT, ShiftReport,
+                     Transition, doppler_frequency, drfs_exact, drfs_series,
                      driven_shift_report, emitted_frequency, force_ratio,
                      force_ratio_engineering, harmonic_shift_report,
                      rotational_kinematic_shift, self_consistent_doppler,
@@ -40,14 +38,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALT_SERIES_COEFFICIENT", "CODATA2018", "Coulomb", "CrossedFields",
-    "DIMENSIONS", "FieldModeLabel", "Harmonic", "HermitianOperator",
-    "OutOfRegimeError", "PerturbativeRegimeWarning", "PhysicalConstants",
-    "RESONANCE_TOLERANCE", "ResonanceError", "RotorConfig", "RotoshiftError",
-    "SERIES_COEFFICIENT", "SelectionRuleError", "ShiftReport",
-    "SpectrumResult", "StateNotFoundError", "Transition", "TruncatedBasis",
-    "UnitSystem", "UnphysicalTransitionError", "ValidationError",
-    "atomic_units", "atomic_velocity", "build_ho_basis", "convert",
-    "crossed_field_levels", "displacement_parameters", "doppler_frequency",
+    "Harmonic", "HermitianOperator", "OutOfRegimeError",
+    "PerturbativeRegimeWarning", "PhysicalConstants", "RESONANCE_TOLERANCE",
+    "ResonanceError", "RotorConfig", "RotoshiftError", "SERIES_COEFFICIENT",
+    "SelectionRuleError", "ShiftReport", "SpectrumResult",
+    "StateNotFoundError", "Transition", "TruncatedBasis",
+    "UnphysicalTransitionError", "ValidationError", "atomic_velocity",
+    "build_ho_basis", "crossed_field_levels", "displacement_parameters", "doppler_frequency",
     "drfs_exact", "drfs_series", "drive_field_vector",
     "driven_rotating_levels", "driven_shift_report",
     "driven_splitting_parameter", "eigen_spectrum", "emitted_frequency",
@@ -58,6 +55,6 @@ __all__ = [
     "manifold_perturbation", "manifold_position_matrices",
     "radial_dipole_integral", "rotating_coulomb_levels",
     "rotating_coulomb_spectrum", "rotational_kinematic_shift",
-    "self_consistent_doppler", "si_units", "splitting_expansion_parameter",
+    "self_consistent_doppler", "splitting_expansion_parameter",
     "transverse_doppler_ratio", "velocity_ratio_squared",
 ]

@@ -32,6 +32,7 @@ from .errors import (OutOfRegimeError, ResonanceError, RotoshiftError,
                      ValidationError)
 from .operators import (build_ho_basis, ho_rotating_hamiltonian,
                         manifold_perturbation)
+# splitting_expansion_parameter stays importable here for perfbench/spans.py
 from .quasienergy import (driven_splitting_parameter, eigen_spectrum,
                           first_order_degenerate_levels,
                           driven_rotating_levels, ho_rotating_levels,
@@ -383,32 +384,24 @@ def _transition_row(swept_value: float, config: dict, rotor: RotorConfig,
         series_alt = report.kinematic_part
         factor_u = factor_l = 1.0
         fratio = None
-    elif drive_vec is None:
-        report = drfs_exact(t, rotor, constants)
-        upper = rotating_coulomb_levels(t.upper[0], t.upper[1], rotor, constants)
-        lower = rotating_coulomb_levels(t.lower[0], t.lower[1], rotor, constants)
-        series = series_alt = None
-        try:
-            series = drfs_series(t, rotor, constants)
-            series_alt = drfs_series(t, rotor, constants,
-                                     coefficient=ALT_SERIES_COEFFICIENT)
-        except OutOfRegimeError:
-            pass
-        x_u = splitting_expansion_parameter(t.upper[0], rotor, constants)
-        x_l = splitting_expansion_parameter(t.lower[0], rotor, constants)
-        factor_u = math.sqrt(1.0 + x_u * x_u)
-        factor_l = math.sqrt(1.0 + x_l * x_l)
-        fratio = None
     else:
-        report = driven_shift_report(t, rotor, drive_vec, constants)
+        report = (drfs_exact(t, rotor, constants) if drive_vec is None
+                  else driven_shift_report(t, rotor, drive_vec, constants))
         upper = driven_rotating_levels(t.upper[0], t.upper[1], rotor, drive_vec, constants)
         lower = driven_rotating_levels(t.lower[0], t.lower[1], rotor, drive_vec, constants)
-        series = series_alt = None
-        x_u = driven_splitting_parameter(t.upper[0], rotor, drive_vec, constants)
-        x_l = driven_splitting_parameter(t.lower[0], rotor, drive_vec, constants)
-        factor_u = math.sqrt(1.0 + x_u * x_u)
-        factor_l = math.sqrt(1.0 + x_l * x_l)
-        fratio = force_ratio(rotor, drive_mag, constants)
+        factor_u, factor_l = (
+            math.hypot(1.0, driven_splitting_parameter(q, rotor, drive_vec, constants))
+            for q in (t.upper[0], t.lower[0]))
+        series = series_alt = fratio = None
+        if drive_vec is not None:
+            fratio = force_ratio(rotor, drive_mag, constants)
+        else:
+            try:
+                series = drfs_series(t, rotor, constants)
+                series_alt = drfs_series(t, rotor, constants,
+                                         coefficient=ALT_SERIES_COEFFICIENT)
+            except OutOfRegimeError:
+                pass
     return [swept_value, t.effective_M(), upper, lower, report.omega_rest,
             report.drfs, series, series_alt, report.kinematic_part,
             report.dynamic_part, factor_u, factor_l,

@@ -1,4 +1,4 @@
-"""Physical constants and SI/atomic unit conversion.
+"""Physical constants of the rotating-emitter formulas, in SI.
 
 Constant values are compiled in (CODATA 2018) rather than looked up at
 runtime, so that report files are reproducible regardless of the installed
@@ -8,7 +8,7 @@ public interface takes and returns SI unless its docstring says otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 from .errors import ValidationError
@@ -48,63 +48,6 @@ class PhysicalConstants:
 
 
 CODATA2018 = PhysicalConstants()
-
-#: Dimensions convert() understands.
-DIMENSIONS = ("length", "energy", "frequency", "electric-field",
-              "magnetic-field", "velocity")
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """A named unit system given by the SI value of each base quantity.
-
-    ``scales[dim]`` is the SI magnitude of one unit of ``dim`` in this
-    system, so conversion between systems is a single multiply and divide.
-    """
-
-    mode: str                      # "SI" or "atomic"
-    scales: dict = field(default_factory=dict)
-
-    def scale(self, dimension: str) -> float:
-        if dimension not in DIMENSIONS:
-            raise ValidationError(f"unknown dimension {dimension!r}")
-        return self.scales[dimension]
-
-
-def si_units() -> UnitSystem:
-    return UnitSystem("SI", {d: 1.0 for d in DIMENSIONS})
-
-
-def atomic_units(constants: PhysicalConstants = CODATA2018) -> UnitSystem:
-    """Hartree atomic units expressed in SI.
-
-    Length a0, energy Hartree, frequency Hartree/hbar, fields in the
-    strengths that make the hydrogen ground state quantities unity,
-    velocity alpha*c.
-    """
-    a0 = constants.bohr_radius
-    Eh = constants.hartree
-    e = constants.elementary_charge
-    h = constants.hbar
-    return UnitSystem("atomic", {
-        "length": a0,
-        "energy": Eh,
-        "frequency": Eh / h,
-        "electric-field": Eh / (e * a0),
-        "magnetic-field": h / (e * a0 * a0),
-        "velocity": constants.fine_structure * constants.light_speed,
-    })
-
-
-def convert(value: float, dimension: str, system_from: UnitSystem,
-            system_to: UnitSystem) -> float:
-    """Rescale ``value`` of the given dimension between unit systems.
-
-    Purely multiplicative, so it distributes over sums exactly and
-    round-trips to 1e-12 relative or better.
-    """
-    return value * (system_from.scale(dimension) / system_to.scale(dimension))
-
 
 def atomic_velocity(Z: int, constants: PhysicalConstants = CODATA2018) -> float:
     """Characteristic orbital speed of a bound electron, in m/s.

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import sqrt
-from typing import Optional, Sequence, Tuple
+from math import copysign, hypot
+from typing import Tuple
 
 import numpy as np
 
@@ -192,16 +192,28 @@ def _bohr_level(n: int, Z: int, constants: PhysicalConstants) -> float:
     return -constants.electron_mass * v_a ** 2 / (2.0 * n * n)
 
 
-def _warn_if_nonperturbative(n: int, splitting_rate: float, Z: int,
-                             constants: PhysicalConstants, stacklevel: int = 3):
-    # full spread of the n-manifold fan vs the gap to the next shell;
-    # stacklevel points the warning at the caller of the public function
-    spread = 2.0 * (n - 1) * constants.hbar * abs(splitting_rate)
-    gap = abs(_bohr_level(n + 1, Z, constants) - _bohr_level(n, Z, constants))
-    if spread > 0.01 * gap:
+def _fan_rate(n: int, omega_L: float, force: float, Z: int,
+              constants: PhysicalConstants) -> Tuple[float, float]:
+    # (signed fan rate, omega_S) of shell n: hypot(omega_L, omega_S), signed
+    # like omega_L (+ for pure Stark), with omega_S = 3 n a / (2 v_a) for the
+    # in-plane acceleration a = F / m, F = e |E_tot|; finite wherever a is
+    omega_S = 3.0 * n * (force / constants.electron_mass) / (2.0 * atomic_velocity(Z, constants))
+    return copysign(hypot(omega_L, omega_S), omega_L), omega_S
+
+
+def _fan_level(n: int, m_z: int, omega_L: float, force: float, Z: int,
+               constants: PhysicalConstants) -> float:
+    # E_n - hbar m_z Omega_fan; warns, at the caller of the public function,
+    # when the fan's full spread exceeds 1% of the gap to the next shell
+    _check_shell_numbers(n, m_z)
+    fan = _fan_rate(n, omega_L, force, Z, constants)[0]
+    level = _bohr_level(n, Z, constants)
+    gap = abs(_bohr_level(n + 1, Z, constants) - level)
+    if 2.0 * (n - 1) * constants.hbar * abs(fan) > 0.01 * gap:
         warnings.warn("splitting exceeds 1% of the shell gap; first-order "
                       "levels are no longer reliable", PerturbativeRegimeWarning,
-                      stacklevel=stacklevel)
+                      stacklevel=3)
+    return level - constants.hbar * fan * m_z
 
 
 def crossed_field_levels(n: int, m_z: int, fields: CrossedFields,
@@ -210,20 +222,14 @@ def crossed_field_levels(n: int, m_z: int, fields: CrossedFields,
     """First-order level of a hydrogen shell in crossed E and B fields, J.
 
     The degenerate shell fans out into 2n-1 equidistant sublevels
-    -hbar m_z sqrt(omega_L^2 + omega_S^2) below and above the unperturbed
-    level, with omega_L the Larmor rate of the axial magnetic field and
-    omega_S proportional to n times the total in-plane electric field.
+    -hbar m_z Omega_fan below and above the unperturbed level, where
+    Omega_fan = hypot(omega_L, omega_S) takes the sign of the Larmor rate
+    omega_L = e B_z / 2m (+ if it is zero) and omega_S grows as n times the
+    total in-plane electric field.
     """
-    _check_shell_numbers(n, m_z)
     e = constants.elementary_charge
-    m = constants.electron_mass
-    omega_L = e * float(fields.pseudo_B[2]) / (2.0 * m)
-    E_tot = fields.total_stark_magnitude()
-    omega_S = (6.0 * np.pi * constants.epsilon0 * constants.hbar
-               / (Z * e * m)) * n * E_tot
-    rate = sqrt(omega_L ** 2 + omega_S ** 2)
-    _warn_if_nonperturbative(n, rate, Z, constants)
-    return _bohr_level(n, Z, constants) - constants.hbar * m_z * rate
+    omega_L = e * float(fields.pseudo_B[2]) / (2.0 * constants.electron_mass)
+    return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z, constants)
 
 
 def _require_coulomb(rotor: RotorConfig) -> Coulomb:
@@ -232,36 +238,40 @@ def _require_coulomb(rotor: RotorConfig) -> Coulomb:
     return rotor.model
 
 
+def _turntable_force(rotor: RotorConfig, drive_E,
+                     constants: PhysicalConstants) -> Tuple[float, int]:
+    # (F, Z) on the turntable, where omega_L = Omega and the in-plane force
+    # is F = |m Omega^2 R rhat + e E|; no drive keeps to scalar arithmetic
+    model = _require_coulomb(rotor)
+    m = constants.electron_mass
+    if drive_E is None:
+        return m * rotor.Omega ** 2 * rotor.R, model.Z
+    drive = np.asarray(drive_E, dtype=float)
+    if drive.shape != (3,) or not np.all(np.isfinite(drive)):
+        raise ValidationError("drive field must be a finite 3-vector")
+    if rotor.Omega == 0.0 and np.any(drive != 0.0):
+        raise ValidationError("drive field with zero rotation leaves the "
+                              "quasi-energy frame undefined")
+    force = m * rotor.Omega ** 2 * rotor.radius_vec + constants.elementary_charge * drive
+    return hypot(*force), model.Z
+
+
 def splitting_expansion_parameter(n: int, rotor: RotorConfig,
                                   constants: PhysicalConstants = CODATA2018) -> float:
     """Dimensionless x = 3 n R Omega / (2 v_a) controlling the Stark/Zeeman mix."""
-    model = _require_coulomb(rotor)
-    v_a = atomic_velocity(model.Z, constants)
-    return 3.0 * n * rotor.R * abs(rotor.Omega) / (2.0 * v_a)
+    return driven_splitting_parameter(n, rotor, None, constants)
 
 
 def rotating_coulomb_levels(n: int, m_z: int, rotor: RotorConfig,
                             constants: PhysicalConstants = CODATA2018) -> float:
     """Quasi-energy of a hydrogen level on the turntable, in joules.
 
-    Bohr level minus hbar Omega m_z sqrt(1 + x^2) where x = 3nROmega/2v_a
-    collects the centrifugal Stark contribution.  R=0 leaves the pure
-    rotational splitting -hbar Omega m_z.
+    Bohr level minus hbar m_z sign(Omega) hypot(Omega, x Omega), where
+    x = 3nROmega/2v_a collects the centrifugal Stark contribution.  R=0
+    leaves the pure rotational splitting -hbar Omega m_z.
     """
-    return _turntable_level(n, m_z, rotor, constants,
-                            lambda q: splitting_expansion_parameter(q, rotor, constants))
-
-
-def _turntable_level(n: int, m_z: int, rotor: RotorConfig,
-                     constants: PhysicalConstants, splitting) -> float:
-    # shared body of the undriven and driven level; splitting(q) gives x
-    model = _require_coulomb(rotor)
-    _check_shell_numbers(n, m_z)
-    x = splitting(n)
-    root = sqrt(1.0 + x * x)
-    _warn_if_nonperturbative(n, rotor.Omega * root, model.Z, constants, stacklevel=4)
-    return (_bohr_level(n, model.Z, constants)
-            - constants.hbar * rotor.Omega * m_z * root)
+    force, Z = _turntable_force(rotor, None, constants)
+    return _fan_level(n, m_z, rotor.Omega, force, Z, constants)
 
 
 def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E,
@@ -273,20 +283,9 @@ def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E,
     Zero rotation with a nonzero drive has no quasi-energy frame and is
     rejected; zero rotation with zero drive gives x = 0.
     """
-    model = _require_coulomb(rotor)
-    drive = np.zeros(3) if drive_E is None else np.asarray(drive_E, dtype=float)
-    if drive.shape != (3,) or not np.all(np.isfinite(drive)):
-        raise ValidationError("drive field must be a finite 3-vector")
-    if rotor.Omega == 0.0:
-        if np.any(drive != 0.0):
-            raise ValidationError("drive field with zero rotation leaves the "
-                                  "quasi-energy frame undefined")
-        return 0.0
-    m = constants.electron_mass
-    e = constants.elementary_charge
-    force = m * rotor.Omega ** 2 * rotor.radius_vec + e * drive
-    v_a = atomic_velocity(model.Z, constants)
-    return 3.0 * n * float(np.linalg.norm(force)) / (2.0 * m * v_a * abs(rotor.Omega))
+    force, Z = _turntable_force(rotor, drive_E, constants)
+    omega_S = _fan_rate(n, rotor.Omega, force, Z, constants)[1]
+    return omega_S / abs(rotor.Omega) if omega_S else 0.0
 
 
 def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig,
@@ -295,10 +294,11 @@ def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig,
 
     The drive adds vectorially to the centrifugal term, so depending on the
     orientation it deepens the splitting or cancels it; an antiparallel
-    drive with eE = m Omega^2 R collapses the root to exactly 1.
+    drive with eE = m Omega^2 R collapses the root to exactly 1.  As Omega
+    goes to zero under a drive, the fan tends to the Stark fan.
     """
-    return _turntable_level(n, m_z, rotor, constants,
-                            lambda q: driven_splitting_parameter(q, rotor, drive_E, constants))
+    force, Z = _turntable_force(rotor, drive_E, constants)
+    return _fan_level(n, m_z, rotor.Omega, force, Z, constants)
 
 
 def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig,

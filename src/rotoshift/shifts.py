@@ -11,7 +11,7 @@ dressing of the levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import copysign, hypot, pi
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,12 +19,14 @@ import numpy as np
 from .constants import CODATA2018, PhysicalConstants, atomic_velocity
 from .errors import (OutOfRegimeError, UnphysicalTransitionError,
                      ValidationError)
-from .quasienergy import (SpectrumResult, driven_splitting_parameter,
+# driven_splitting_parameter stays importable here for perfbench/spans.py
+from .quasienergy import (SpectrumResult, _fan_rate, _turntable_force,
+                          driven_splitting_parameter,
                           splitting_expansion_parameter)
 from .rotor import Coulomb, Harmonic, RotorConfig
 
 #: Expansion coefficient of the leading dynamic shift, from the Taylor
-#: expansion of sqrt(1 + x^2) about x = 0 in this library's exact formula.
+#: expansion of hypot(1, x) about x = 0 in this library's exact formula.
 SERIES_COEFFICIENT = 9.0 / 8.0
 
 #: Alternative coefficient in circulation for the same expansion; it is
@@ -38,24 +40,6 @@ MAX_DOPPLER_BETA = 0.01
 
 #: Validity ceiling for the series expansion parameter x = 3nROmega/2v_a.
 MAX_SERIES_PARAMETER = 0.3
-
-
-@dataclass(frozen=True)
-class FieldModeLabel:
-    """Cylindrical field-mode quantum numbers (omega, M, k_z, helicity)."""
-
-    omega: float
-    M: int
-    k_z: float
-    chi: int
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValidationError("mode frequency must be positive")
-        if self.chi not in (-1, 1):
-            raise ValidationError("helicity must be +1 or -1")
-        if abs(self.k_z) > self.omega / CODATA2018.light_speed * (1 + 1e-12):
-            raise ValidationError("axial wavenumber exceeds omega/c")
 
 
 @dataclass(frozen=True)
@@ -128,7 +112,8 @@ def self_consistent_doppler(deltaE: float, v, k_direction,
     doppler_frequency keeps the denominator within 1% of one.
     """
     k_hat = np.asarray(k_direction, dtype=float)
-    norm = float(np.linalg.norm(k_hat))
+    # hypot scales before squaring, so no finite direction has length 0 or inf
+    norm = hypot(*k_hat)
     if norm == 0:
         raise ValidationError("propagation direction must be nonzero")
     k_hat = k_hat / norm
@@ -176,23 +161,23 @@ def _check_transition_labels(t: Transition):
             raise ValidationError(f"{name} level needs q >= 1 and |m_z| <= q-1")
 
 
-def _turntable_report(t: Transition, rotor: RotorConfig,
-                      constants: PhysicalConstants, splitting) -> ShiftReport:
-    # shared body of the undriven and driven report; splitting(q) gives x
-    if not isinstance(rotor.model, Coulomb):
-        raise ValidationError("rotor model must be Coulomb")
+def _turntable_report(t: Transition, rotor: RotorConfig, drive_E,
+                      constants: PhysicalConstants) -> ShiftReport:
+    # shared body of the undriven (drive_E None) and driven report
+    force, Z = _turntable_force(rotor, drive_E, constants)
     _check_transition_labels(t)
     (n, m_z), (n_prime, m_zp) = t.upper, t.lower
     Omega = rotor.Omega
-    x_u = splitting(n)
-    x_l = splitting(n_prime)
-    # sqrt(1+x^2) - 1 evaluated stably for small x
-    excess_u = x_u * x_u / (sqrt(1.0 + x_u * x_u) + 1.0)
-    excess_l = x_l * x_l / (sqrt(1.0 + x_l * x_l) + 1.0)
-    dynamic = -Omega * m_z * excess_u + Omega * m_zp * excess_l
+
+    def excess(q: int) -> float:
+        # Omega_fan - Omega, stable for small omega_S, finite with the level
+        s = _fan_rate(q, Omega, force, Z, constants)[1]
+        return copysign(s * (s / (hypot(Omega, s) + abs(Omega))) if s else 0.0, Omega)
+
+    dynamic = m_zp * excess(n_prime) - m_z * excess(n)
     kinematic = Omega * (t.effective_M() - (m_z - m_zp))
     drfs = kinematic + dynamic
-    omega_rest = _rest_frequency_coulomb(t, rotor.model.Z, constants)
+    omega_rest = _rest_frequency_coulomb(t, Z, constants)
     return ShiftReport(transition=t, omega_rest=omega_rest,
                        omega_rotating=omega_rest + drfs, drfs=drfs,
                        kinematic_part=kinematic, dynamic_part=dynamic,
@@ -208,8 +193,7 @@ def drfs_exact(t: Transition, rotor: RotorConfig,
     sign.  The report decomposes the shift into the kinematic part
     Omega (M - Delta m_z) and the dynamic square-root excess.
     """
-    report = _turntable_report(
-        t, rotor, constants, lambda q: splitting_expansion_parameter(q, rotor, constants))
+    report = _turntable_report(t, rotor, None, constants)
     if report.omega_rest > 0 and t.effective_M() == t.upper[1] - t.lower[1]:
         report.ratios["transverse_doppler"] = transverse_doppler_ratio(
             t, rotor.Omega, report.omega_rest, constants, Z=rotor.model.Z)
@@ -225,8 +209,7 @@ def driven_shift_report(t: Transition, rotor: RotorConfig, drive_E,
     transverse Doppler ratio are not defined in this regime, so the ratio
     map stays empty.
     """
-    return _turntable_report(
-        t, rotor, constants, lambda q: driven_splitting_parameter(q, rotor, drive_E, constants))
+    return _turntable_report(t, rotor, drive_E, constants)
 
 
 def harmonic_shift_report(t: Transition, rotor: RotorConfig,

@@ -466,10 +466,7 @@ def test_coulomb_spectrum_shell_bound_names_field(tmp_path, capsys):
      "quasi_energy_upper_J", "swept_value = 3.00000000000e+12"),
     ("compare-stark", coulomb_drfs_config(drive={"E_V_per_m": 1e300}),
      "level_enhanced_J", "shell = 2"),
-    ("drfs", coulomb_drfs_config(rotor={"omega_rad_s": 1e-300, "radius_m": 1e-10},
-                                 drive={"E_V_per_m": 1.0}),
-     "quasi_energy_upper_J", "swept_value = 1.00000000000e-300"),
-], ids=["coulomb-radius", "harmonic-radius", "stark-drive", "driven-slow-rotation"])
+], ids=["coulomb-radius", "harmonic-radius", "stark-drive"])
 def test_non_finite_result_exits_3(tmp_path, capsys, command, config, column, where):
     out = tmp_path / "out.csv"
     config = dict(config, output={"path": str(out)})
@@ -544,15 +541,11 @@ def test_trap_quantum_must_not_underflow(tmp_path, capsys):
     ("drfs", harmonic_drfs_config(rotor={"omega_rad_s": 1e12, "radius_m": 1e190,
                                          "omega0_rad_s": 1e13}),
      "out of range"),
-    ("compare-stark", coulomb_drfs_config(rotor={"omega_over_2pi_hz": 5e-324,
-                                                 "radius_m": 1e-10},
-                                          drive={"E_V_per_m": 3e4}),
-     "float division by zero"),
     ("compare-stark", coulomb_drfs_config(drive={"E_V_per_m": 5e-324}),
      "float division by zero"),
     ("spectrum", coulomb_drfs_config(rotor={"omega_rad_s": 1e12, "radius_m": 1e300}),
      "quasi_energy_closed_form_J"),
-], ids=["trap-squares-underflow", "orbital-speed-squared", "driven-rate-underflows",
+], ids=["trap-squares-underflow", "orbital-speed-squared",
         "drive-force-underflows", "closed-form-overflows"])
 def test_double_precision_range_exits_3(tmp_path, capsys, command, config, text):
     out = tmp_path / "out.csv"
@@ -561,6 +554,33 @@ def test_double_precision_range_exits_3(tmp_path, capsys, command, config, text)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config,columns", [
+    ("drfs", coulomb_drfs_config(rotor={"omega_rad_s": 1e-300, "radius_m": 1e-10},
+                                 drive={"E_V_per_m": 1.0}),
+     ["quasi_energy_upper_J"]),
+    ("compare-stark", coulomb_drfs_config(rotor={"omega_over_2pi_hz": 5e-324,
+                                                 "radius_m": 1e-10},
+                                          drive={"E_V_per_m": 3e4}),
+     ["level_enhanced_J", "level_reduced_J"]),
+], ids=["driven-slow-rotation", "driven-rate-underflows"])
+def test_slow_driven_rotation_gives_stark_fan(tmp_path, capsys, command, config, columns):
+    # as the rotation slows under a drive, the fan rate hypot(Omega, omega_S)
+    # tends to the Stark rate omega_S = 3 n e E / (2 m v_a), which is finite
+    assert main([command, "--format", "json",
+                 "--config", write_config(tmp_path, config)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    header = payload["columns"]
+    row = payload["rows"][0]
+    if command == "compare-stark":
+        row = next(r for r in payload["rows"] if r[:2] == [3, 2])
+    v_a = rotoshift.atomic_velocity(1)
+    omega_S = (3 * 3 * C.elementary_charge * config["drive"]["E_V_per_m"]
+               / (2 * C.electron_mass * v_a))
+    want = -C.electron_mass * v_a ** 2 / (2 * 3 ** 2) - C.hbar * 2 * omega_S
+    for column in columns:
+        assert row[header.index(column)] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("command,rotor,sweep", [

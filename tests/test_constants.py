@@ -1,11 +1,11 @@
-"""Constants table self-consistency and unit conversion round trips."""
+"""Constants table self-consistency and the atomic scales built from it."""
 
 from math import pi
 
 import pytest
 
 from rotoshift import (CODATA2018, PhysicalConstants, ValidationError,
-                       atomic_units, atomic_velocity, convert, si_units)
+                       atomic_velocity)
 
 
 def test_fine_structure_identity():
@@ -44,46 +44,8 @@ def test_atomic_velocity_rejects_bad_charge(bad):
         atomic_velocity(bad)
 
 
-def test_atomic_length_in_si():
-    out = convert(1.0, "length", atomic_units(), si_units())
-    assert out == pytest.approx(5.29177e-11, rel=1e-6)
-
-
-def test_zero_converts_to_zero():
-    for dim in ("length", "energy", "frequency", "electric-field",
-                "magnetic-field", "velocity"):
-        assert convert(0.0, dim, atomic_units(), si_units()) == 0.0
-
-
-def test_round_trip_identity():
-    au, si = atomic_units(), si_units()
-    for dim in ("length", "energy", "frequency", "electric-field",
-                "magnetic-field", "velocity"):
-        back = convert(convert(1.234, dim, si, au), dim, au, si)
-        assert back == pytest.approx(1.234, rel=1e-12)
-
-
-def test_convert_is_multiplicative():
-    au, si = atomic_units(), si_units()
-    x, y = 0.37, 1.91
-    lhs = convert(x, "energy", au, si) + convert(y, "energy", au, si)
-    rhs = convert(x + y, "energy", au, si)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_unknown_dimension_rejected():
-    with pytest.raises(ValidationError):
-        convert(1.0, "mass", atomic_units(), si_units())
-
-
 def test_atomic_scales_are_consistent():
     c = CODATA2018
-    au = atomic_units()
-    # frequency scale is the energy scale over hbar
-    assert au.scale("frequency") == pytest.approx(au.scale("energy") / c.hbar, rel=1e-12)
     # hartree equals alpha^2 m c^2
     assert c.hartree == pytest.approx(
         c.fine_structure ** 2 * c.electron_mass * c.light_speed ** 2, rel=1e-12)
-    # electric field scale: one hartree per charge per bohr
-    assert au.scale("electric-field") == pytest.approx(
-        c.hartree / (c.elementary_charge * c.bohr_radius), rel=1e-12)

@@ -293,9 +293,10 @@ def test_rotating_splitting_grows_with_radius_and_rate():
 @pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_substitution_identity_on_sample_grid():
     # turntable closed form == crossed-field closed form fed the fictitious
-    # fields of the same rotor; the strong-field corners warn, which is fine
+    # fields of the same rotor, for either sense of rotation; the
+    # strong-field corners warn, which is fine
     for n in (2, 4):
-        for Omega in (1e10, 1e12):
+        for Omega in (1e10, 1e12, -1e10, -1e12):
             for R in (1e-11, 1e-9):
                 rotor = coulomb_rotor(Omega, R)
                 fields = fictitious_fields(rotor)
@@ -303,6 +304,22 @@ def test_substitution_identity_on_sample_grid():
                     a = rotating_coulomb_levels(n, m_z, rotor)
                     b = crossed_field_levels(n, m_z, fields)
                     assert abs(a - b) <= 1e-12 * abs(a)
+
+
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
+@pytest.mark.parametrize("Omega", [1e12, -1e12])
+def test_crossed_field_label_follows_zeeman_sign(Omega):
+    # pure Zeeman limit (R = 0): the fan level labeled m_z sits where the
+    # m_l = m_z diagonal element of the brute-force shell matrix puts it,
+    # so a negative Larmor rate reverses the fan instead of mirroring it
+    fields = fictitious_fields(coulomb_rotor(Omega, 0.0))
+    for n in range(1, 5):
+        W = manifold_perturbation(n, fields)
+        E_n = lib_bohr(n)
+        for i, (_, _, m_l) in enumerate(W.basis.labels):
+            got = crossed_field_levels(n, m_l, fields) - E_n
+            assert got == pytest.approx(W.matrix[i, i].real, rel=1e-9,
+                                        abs=1e-15 * abs(E_n))
 
 
 def test_spectrum_counts_states():

@@ -5,9 +5,9 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from rotoshift import (ALT_SERIES_COEFFICIENT, CODATA2018, Coulomb,
-                       FieldModeLabel, Harmonic, OutOfRegimeError,
-                       RotorConfig, SERIES_COEFFICIENT, StateNotFoundError,
+from rotoshift import (ALT_SERIES_COEFFICIENT, CODATA2018, Coulomb, Harmonic,
+                       OutOfRegimeError, RotorConfig, SERIES_COEFFICIENT,
+                       StateNotFoundError,
                        Transition, UnphysicalTransitionError, ValidationError,
                        atomic_velocity, doppler_frequency, drfs_exact,
                        drfs_series, drive_field_vector, driven_shift_report,
@@ -26,18 +26,8 @@ def coulomb_rotor(Omega, R):
 
 
 # ---------------------------------------------------------------------------
-# mode labels and transitions
+# transitions
 # ---------------------------------------------------------------------------
-
-
-def test_field_mode_label_validation():
-    FieldModeLabel(omega=1e15, M=2, k_z=1e15 / C.light_speed, chi=1)
-    with pytest.raises(ValidationError):
-        FieldModeLabel(omega=0.0, M=0, k_z=0.0, chi=1)
-    with pytest.raises(ValidationError):
-        FieldModeLabel(omega=1e15, M=0, k_z=0.0, chi=0)
-    with pytest.raises(ValidationError):
-        FieldModeLabel(omega=1e15, M=0, k_z=2e15 / C.light_speed, chi=-1)
 
 
 def test_transition_effective_projection():
@@ -93,6 +83,17 @@ def test_self_consistent_doppler_fixed_point():
         (deltaE / C.hbar) * 300.0 / C.light_speed, rel=1e-5)
     with pytest.raises(ValidationError):
         self_consistent_doppler(deltaE, v, np.zeros(3))
+
+
+def test_self_consistent_doppler_direction_scale_free():
+    # only the direction of k counts: lengths whose square leaves double
+    # precision must neither zero the shift nor be taken for a zero vector
+    v = np.array([3e5, 0.0, 0.0])
+    unit = self_consistent_doppler(1e-19, v, [1.0, 0.0, 0.0])
+    assert unit > 1e-19 / C.hbar
+    for length in (1e300, 1e-200):
+        got = self_consistent_doppler(1e-19, v, [length, 0.0, 0.0])
+        assert got == pytest.approx(unit, rel=1e-15)
 
 
 def test_kinematic_shift_values():
