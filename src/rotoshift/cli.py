@@ -79,8 +79,6 @@ _LEVEL_RULES = {"coulomb": (1, "n >= 1 and |m_z| <= n - 1"),
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     return f"{float(value):.11e}"
@@ -229,6 +227,10 @@ def validate_config(raw: dict, command: str) -> dict:
             problems.append("drive.orientation: must be 'parallel' or 'antiparallel'")
         if model == "harmonic":
             problems.append("drive: only meaningful for the coulomb model")
+        if command == "spectrum" and _is_number(drive.get("E_V_per_m")) and drive["E_V_per_m"] > 0:
+            # the spectrum table is the undriven one; a zero drive is that table
+            problems.append("drive.E_V_per_m: spectrum tabulates the undriven levels "
+                            "and takes no nonzero drive")
     elif drive is not None:
         problems.append("drive: must be an object")
 
@@ -374,32 +376,30 @@ def _sweep_values(sweep: dict) -> np.ndarray:
 
 def _transition_row(swept_value: float, config: dict, rotor: RotorConfig,
                     t: Transition, drive_vec, drive_mag) -> list:
-    constants = CODATA2018
     if config["model"] == "harmonic":
-        report = harmonic_shift_report(t, rotor, constants)
-        upper = ho_rotating_levels(t.upper[0], t.upper[1], rotor, constants)
-        lower = ho_rotating_levels(t.lower[0], t.lower[1], rotor, constants)
+        report = harmonic_shift_report(t, rotor)
+        upper = ho_rotating_levels(t.upper[0], t.upper[1], rotor)
+        lower = ho_rotating_levels(t.lower[0], t.lower[1], rotor)
         # Omega couples only through -Omega m_z here, factor exactly one
         series = report.kinematic_part
         series_alt = report.kinematic_part
         factor_u = factor_l = 1.0
         fratio = None
     else:
-        report = (drfs_exact(t, rotor, constants) if drive_vec is None
-                  else driven_shift_report(t, rotor, drive_vec, constants))
-        upper = driven_rotating_levels(t.upper[0], t.upper[1], rotor, drive_vec, constants)
-        lower = driven_rotating_levels(t.lower[0], t.lower[1], rotor, drive_vec, constants)
+        report = (drfs_exact(t, rotor) if drive_vec is None
+                  else driven_shift_report(t, rotor, drive_vec))
+        upper = driven_rotating_levels(t.upper[0], t.upper[1], rotor, drive_vec)
+        lower = driven_rotating_levels(t.lower[0], t.lower[1], rotor, drive_vec)
         factor_u, factor_l = (
-            math.hypot(1.0, driven_splitting_parameter(q, rotor, drive_vec, constants))
+            math.hypot(1.0, driven_splitting_parameter(q, rotor, drive_vec))
             for q in (t.upper[0], t.lower[0]))
         series = series_alt = fratio = None
         if drive_vec is not None:
-            fratio = force_ratio(rotor, drive_mag, constants)
+            fratio = force_ratio(rotor, drive_mag)
         else:
             try:
-                series = drfs_series(t, rotor, constants)
-                series_alt = drfs_series(t, rotor, constants,
-                                         coefficient=ALT_SERIES_COEFFICIENT)
+                series = drfs_series(t, rotor)
+                series_alt = drfs_series(t, rotor, coefficient=ALT_SERIES_COEFFICIENT)
             except OutOfRegimeError:
                 pass
     return [swept_value, t.effective_M(), upper, lower, report.omega_rest,
@@ -443,29 +443,28 @@ def _closed_form_spectrum(spectrum, top: int, rotor: RotorConfig):
     # the config is valid here, so the spectrum's one remaining objection is
     # a level that leaves double precision, which is out of regime (exit 3)
     try:
-        return spectrum(top, rotor, CODATA2018)
+        return spectrum(top, rotor)
     except ValidationError as exc:
         raise OutOfRegimeError(f"quasi_energy_closed_form_J: {exc}") from exc
 
 
 def _run_spectrum(config: dict):
-    constants = CODATA2018
     rotor = _build_rotor(config)
     if config["model"] == "harmonic":
         n_max = int(config.get("basis_n_max", 10))
         analytic = _closed_form_spectrum(ho_rotating_spectrum, n_max, rotor)
-        H = ho_rotating_hamiltonian(build_ho_basis(n_max), rotor, constants)
+        H = ho_rotating_hamiltonian(build_ho_basis(n_max), rotor)
         numeric = eigen_spectrum(H).energies()
         columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J",
                    "quasi_energy_diagonalized_J"]
     else:
         n_top = int(config["transition"]["upper"][0])
         analytic = _closed_form_spectrum(rotating_coulomb_spectrum, n_top, rotor)
-        fields = fictitious_fields(rotor, constants)
+        fields = fictitious_fields(rotor)
         pieces = []
         for n in range(1, n_top + 1):
-            E0 = rotating_coulomb_levels(n, 0, rotor, constants)
-            W = manifold_perturbation(n, fields, constants, Z=rotor.model.Z)
+            E0 = rotating_coulomb_levels(n, 0, rotor)
+            W = manifold_perturbation(n, fields, Z=rotor.model.Z)
             pieces.append(first_order_degenerate_levels(E0, W).energies())
         numeric = np.sort(np.concatenate(pieces))
         columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J",
@@ -489,23 +488,22 @@ def _run_doppler(config: dict):
 
 
 def _run_compare_stark(config: dict):
-    constants = CODATA2018
     rotor = _build_rotor(config)
     magnitude = float(config["drive"]["E_V_per_m"])
     if magnitude <= 0:
         raise ValidationError("drive.E_V_per_m: compare-stark needs a positive drive")
     enhanced = drive_field_vector(rotor, magnitude, antiparallel=False)
     reduced = drive_field_vector(rotor, magnitude, antiparallel=True)
-    fr = force_ratio(rotor, magnitude, constants)
-    fr_eng = force_ratio_engineering(rotor, magnitude, constants)
+    fr = force_ratio(rotor, magnitude)
+    fr_eng = force_ratio_engineering(rotor, magnitude)
     t = config["transition"]
     shells = sorted({int(t["upper"][0]), int(t["lower"][0])})
     rows = []
     for n in shells:
         for m_z in range(-(n - 1), n):
             rows.append([n, m_z,
-                         driven_rotating_levels(n, m_z, rotor, enhanced, constants),
-                         driven_rotating_levels(n, m_z, rotor, reduced, constants),
+                         driven_rotating_levels(n, m_z, rotor, enhanced),
+                         driven_rotating_levels(n, m_z, rotor, reduced),
                          fr, fr_eng])
     columns = ["shell", "m_z", "level_enhanced_J", "level_reduced_J",
                "force_ratio", "force_ratio_engineering"]
@@ -535,8 +533,7 @@ def _render_csv(columns, rows) -> str:
 
 
 def _render_json(command, columns, rows) -> str:
-    payload = {"command": command, "columns": columns,
-               "rows": [[None if v is None else v for v in row] for row in rows]}
+    payload = {"command": command, "columns": columns, "rows": rows}
     return json.dumps(payload, indent=2) + "\n"
 
 

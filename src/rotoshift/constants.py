@@ -2,8 +2,10 @@
 
 Constant values are compiled in (CODATA 2018) rather than looked up at
 runtime, so that report files are reproducible regardless of the installed
-version of any third-party constants table.  Computations run in SI; every
-public interface takes and returns SI unless its docstring says otherwise.
+version of any third-party constants table.  CODATA2018 is the one table:
+every formula in the package reads it directly, and no function takes a
+constants argument.  Computations run in SI; every public interface takes
+and returns SI unless its docstring says otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class PhysicalConstants:
 
 CODATA2018 = PhysicalConstants()
 
-def atomic_velocity(Z: int, constants: PhysicalConstants = CODATA2018) -> float:
+def atomic_velocity(Z: int) -> float:
     """Characteristic orbital speed of a bound electron, in m/s.
 
     v_a = Z e^2 / (4 pi eps0 hbar); for Z=1 this is alpha*c, about
@@ -57,5 +59,5 @@ def atomic_velocity(Z: int, constants: PhysicalConstants = CODATA2018) -> float:
     """
     if not isinstance(Z, int) or isinstance(Z, bool) or Z < 1:
         raise ValidationError("nuclear charge Z must be an integer >= 1")
-    e = constants.elementary_charge
-    return Z * e * e / (4.0 * pi * constants.epsilon0 * constants.hbar)
+    e = CODATA2018.elementary_charge
+    return Z * e * e / (4.0 * pi * CODATA2018.epsilon0 * CODATA2018.hbar)

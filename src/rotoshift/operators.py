@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ResonanceError, SelectionRuleError, ValidationError
 from .rotor import RESONANCE_TOLERANCE, CrossedFields, Harmonic, RotorConfig
 
@@ -140,8 +140,7 @@ def _ho_lz(labels: np.ndarray, hop) -> np.ndarray:
     return L
 
 
-def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
-                            constants: PhysicalConstants = CODATA2018) -> HermitianOperator:
+def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> HermitianOperator:
     """Rotating-frame Hamiltonian of the circularly translated harmonic trap.
 
     Assembles p^2/2m + m omega0^2 r^2/2 - Omega L_z - v_c . p over the
@@ -164,7 +163,7 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
     omega0 = rotor.model.omega0
     wrel = rotor.Omega / omega0
     # dimensionless orbital velocity in trap units sqrt(hbar omega0 / m)
-    vrel = rotor.v_c * sqrt(constants.electron_mass / (constants.hbar * omega0))
+    vrel = rotor.v_c * sqrt(CODATA2018.electron_mass / (CODATA2018.hbar * omega0))
 
     H = -wrel * _ho_lz(labels, hop)
     np.fill_diagonal(H, labels.sum(axis=1) + 1.5)
@@ -173,7 +172,7 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig,
     H[target, source] = -vrel * np.sqrt((labels[source, 0] + 1) / 2.0)
     source, target = hop(-1, 0, 0)
     H[target, source] = -vrel * np.sqrt(labels[source, 0] / 2.0)
-    H *= constants.hbar * omega0
+    H *= CODATA2018.hbar * omega0
     return HermitianOperator.from_matrix(basis, H)
 
 
@@ -189,8 +188,7 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
     return HermitianOperator.from_matrix(basis, _ho_lz(*_label_hops(basis)))
 
 
-def displacement_parameters(rotor: RotorConfig,
-                            constants: PhysicalConstants = CODATA2018):
+def displacement_parameters(rotor: RotorConfig):
     """Momentum and position offsets that make the rotating trap Hamiltonian static.
 
     Returns (a, b): a = m omega0^2/(omega0^2 - Omega^2) Omega x R is the
@@ -204,7 +202,7 @@ def displacement_parameters(rotor: RotorConfig,
     denom = omega0 ** 2 - rotor.Omega ** 2
     if abs(denom) < RESONANCE_TOLERANCE * omega0 ** 2:
         raise ResonanceError("rotation rate within the resonance guard band")
-    m = constants.electron_mass
+    m = CODATA2018.electron_mass
     a = (m * omega0 ** 2 / denom) * rotor.velocity_vec
     b = (rotor.Omega ** 2 / denom) * rotor.radius_vec
     return a, b
@@ -297,9 +295,7 @@ def manifold_position_matrices(n: int):
     return basis, X.astype(complex), Y, Z.astype(complex)
 
 
-def manifold_perturbation(n: int, fields: CrossedFields,
-                          constants: PhysicalConstants = CODATA2018,
-                          Z: int = 1) -> HermitianOperator:
+def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> HermitianOperator:
     """First-order perturbation matrix of one hydrogen shell in crossed fields.
 
     W = -e (E_pseudo + E_drive) . r - (e/2m) B L_z restricted to the n^2
@@ -310,11 +306,11 @@ def manifold_perturbation(n: int, fields: CrossedFields,
     if not isinstance(Z, int) or isinstance(Z, bool) or Z < 1:
         raise ValidationError("nuclear charge Z must be an integer >= 1")
     basis, X, Y, Zmat = manifold_position_matrices(n)
-    e = constants.elementary_charge
-    length = constants.bohr_radius / Z
+    e = CODATA2018.elementary_charge
+    length = CODATA2018.bohr_radius / Z
     Ex, Ey, Ez = (float(c) for c in fields.total_stark_field())
     W = -e * length * (Ex * X + Ey * Y + Ez * Zmat)
-    larmor = e * float(fields.pseudo_B[2]) / (2.0 * constants.electron_mass)
+    larmor = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
     diagonal = np.arange(basis.dimension)
-    W[diagonal, diagonal] += -larmor * constants.hbar * np.array(basis.labels)[:, 2]
+    W[diagonal, diagonal] += -larmor * CODATA2018.hbar * np.array(basis.labels)[:, 2]
     return HermitianOperator.from_matrix(basis, W)

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants, atomic_velocity
+from .constants import CODATA2018, atomic_velocity
 from .errors import (PerturbativeRegimeWarning, RotoshiftError,
                      StateNotFoundError, ValidationError)
 from .operators import HermitianOperator, TruncatedBasis
@@ -37,7 +37,6 @@ class SpectrumResult:
 
     levels: Tuple[Tuple[tuple, float], ...]
     method: str
-    basis_info: str = ""
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -105,16 +104,14 @@ def eigen_spectrum(operator) -> SpectrumResult:
         if np.any(residual > 1e-10 * max(norm, 1e-300)):
             raise RotoshiftError("eigensolver residual exceeds tolerance")
     levels = tuple(((i,), float(v)) for i, v in enumerate(vals))
-    return SpectrumResult(levels=levels, method="Diagonalization",
-                          basis_info=f"{operator.basis.kind} dim {operator.basis.dimension}")
+    return SpectrumResult(levels=levels, method="Diagonalization")
 
 
 def first_order_degenerate_levels(E0: float, W) -> SpectrumResult:
     """Levels E0 + eig(W) of a degenerate manifold under perturbation W."""
     inner = eigen_spectrum(W)
     levels = tuple((lab, E0 + val) for lab, val in inner.levels)
-    return SpectrumResult(levels=levels, method="FirstOrderPT",
-                          basis_info=inner.basis_info)
+    return SpectrumResult(levels=levels, method="FirstOrderPT")
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +125,7 @@ def _require_harmonic(rotor: RotorConfig) -> Harmonic:
     return rotor.model
 
 
-def ho_rotating_levels(N: int, m_z: int, rotor: RotorConfig,
-                       constants: PhysicalConstants = CODATA2018) -> float:
+def ho_rotating_levels(N: int, m_z: int, rotor: RotorConfig) -> float:
     """Closed-form quasi-energy of the rotating trap, in joules.
 
     hbar omega0 (N + 3/2) - hbar Omega m_z minus a level-independent
@@ -142,8 +138,8 @@ def ho_rotating_levels(N: int, m_z: int, rotor: RotorConfig,
     if not isinstance(m_z, int) or isinstance(m_z, bool) or abs(m_z) > N:
         raise ValidationError("m_z must be an integer with |m_z| <= N")
     w0 = model.omega0
-    h = constants.hbar
-    depression = (constants.electron_mass * w0 ** 2 * rotor.v_c ** 2
+    h = CODATA2018.hbar
+    depression = (CODATA2018.electron_mass * w0 ** 2 * rotor.v_c ** 2
                   / (2.0 * (w0 ** 2 - rotor.Omega ** 2)))
     return h * w0 * (N + 1.5) - h * rotor.Omega * m_z - depression
 
@@ -155,8 +151,7 @@ def ho_shell_multiplicity(N: int, m_z: int) -> int:
     return (N - abs(m_z)) // 2 + 1
 
 
-def ho_rotating_spectrum(N_max: int, rotor: RotorConfig,
-                         constants: PhysicalConstants = CODATA2018) -> SpectrumResult:
+def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
     """Closed-form spectrum of all shells through N_max, with degeneracies.
 
     Labels are (N, m_z), repeated once per degenerate state, so the level
@@ -169,10 +164,9 @@ def ho_rotating_spectrum(N_max: int, rotor: RotorConfig,
     levels = []
     for N in range(N_max + 1):
         for m_z in range(-N, N + 1):
-            value = ho_rotating_levels(N, m_z, rotor, constants)
+            value = ho_rotating_levels(N, m_z, rotor)
             levels.extend(((N, m_z), value) for _ in range(ho_shell_multiplicity(N, m_z)))
-    return SpectrumResult(levels=tuple(levels), method="Analytic",
-                          basis_info=f"HO3D shells <= {N_max}")
+    return SpectrumResult(levels=tuple(levels), method="Analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -187,38 +181,34 @@ def _check_shell_numbers(n: int, m_z: int):
         raise ValidationError("m_z must be an integer with |m_z| <= n-1")
 
 
-def _bohr_level(n: int, Z: int, constants: PhysicalConstants) -> float:
-    v_a = atomic_velocity(Z, constants)
-    return -constants.electron_mass * v_a ** 2 / (2.0 * n * n)
+def _bohr_level(n: int, Z: int) -> float:
+    v_a = atomic_velocity(Z)
+    return -CODATA2018.electron_mass * v_a ** 2 / (2.0 * n * n)
 
 
-def _fan_rate(n: int, omega_L: float, force: float, Z: int,
-              constants: PhysicalConstants) -> Tuple[float, float]:
+def _fan_rate(n: int, omega_L: float, force: float, Z: int) -> Tuple[float, float]:
     # (signed fan rate, omega_S) of shell n: hypot(omega_L, omega_S), signed
     # like omega_L (+ for pure Stark), with omega_S = 3 n a / (2 v_a) for the
     # in-plane acceleration a = F / m, F = e |E_tot|; finite wherever a is
-    omega_S = 3.0 * n * (force / constants.electron_mass) / (2.0 * atomic_velocity(Z, constants))
+    omega_S = 3.0 * n * (force / CODATA2018.electron_mass) / (2.0 * atomic_velocity(Z))
     return copysign(hypot(omega_L, omega_S), omega_L), omega_S
 
 
-def _fan_level(n: int, m_z: int, omega_L: float, force: float, Z: int,
-               constants: PhysicalConstants) -> float:
+def _fan_level(n: int, m_z: int, omega_L: float, force: float, Z: int) -> float:
     # E_n - hbar m_z Omega_fan; warns, at the caller of the public function,
     # when the fan's full spread exceeds 1% of the gap to the next shell
     _check_shell_numbers(n, m_z)
-    fan = _fan_rate(n, omega_L, force, Z, constants)[0]
-    level = _bohr_level(n, Z, constants)
-    gap = abs(_bohr_level(n + 1, Z, constants) - level)
-    if 2.0 * (n - 1) * constants.hbar * abs(fan) > 0.01 * gap:
+    fan = _fan_rate(n, omega_L, force, Z)[0]
+    level = _bohr_level(n, Z)
+    gap = abs(_bohr_level(n + 1, Z) - level)
+    if 2.0 * (n - 1) * CODATA2018.hbar * abs(fan) > 0.01 * gap:
         warnings.warn("splitting exceeds 1% of the shell gap; first-order "
                       "levels are no longer reliable", PerturbativeRegimeWarning,
                       stacklevel=3)
-    return level - constants.hbar * fan * m_z
+    return level - CODATA2018.hbar * fan * m_z
 
 
-def crossed_field_levels(n: int, m_z: int, fields: CrossedFields,
-                         constants: PhysicalConstants = CODATA2018,
-                         Z: int = 1) -> float:
+def crossed_field_levels(n: int, m_z: int, fields: CrossedFields, Z: int = 1) -> float:
     """First-order level of a hydrogen shell in crossed E and B fields, J.
 
     The degenerate shell fans out into 2n-1 equidistant sublevels
@@ -227,9 +217,9 @@ def crossed_field_levels(n: int, m_z: int, fields: CrossedFields,
     omega_L = e B_z / 2m (+ if it is zero) and omega_S grows as n times the
     total in-plane electric field.
     """
-    e = constants.elementary_charge
-    omega_L = e * float(fields.pseudo_B[2]) / (2.0 * constants.electron_mass)
-    return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z, constants)
+    e = CODATA2018.elementary_charge
+    omega_L = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
+    return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z)
 
 
 def _require_coulomb(rotor: RotorConfig) -> Coulomb:
@@ -238,12 +228,11 @@ def _require_coulomb(rotor: RotorConfig) -> Coulomb:
     return rotor.model
 
 
-def _turntable_force(rotor: RotorConfig, drive_E,
-                     constants: PhysicalConstants) -> Tuple[float, int]:
+def _turntable_force(rotor: RotorConfig, drive_E) -> Tuple[float, int]:
     # (F, Z) on the turntable, where omega_L = Omega and the in-plane force
     # is F = |m Omega^2 R rhat + e E|; no drive keeps to scalar arithmetic
     model = _require_coulomb(rotor)
-    m = constants.electron_mass
+    m = CODATA2018.electron_mass
     if drive_E is None:
         return m * rotor.Omega ** 2 * rotor.R, model.Z
     drive = np.asarray(drive_E, dtype=float)
@@ -252,30 +241,27 @@ def _turntable_force(rotor: RotorConfig, drive_E,
     if rotor.Omega == 0.0 and np.any(drive != 0.0):
         raise ValidationError("drive field with zero rotation leaves the "
                               "quasi-energy frame undefined")
-    force = m * rotor.Omega ** 2 * rotor.radius_vec + constants.elementary_charge * drive
+    force = m * rotor.Omega ** 2 * rotor.radius_vec + CODATA2018.elementary_charge * drive
     return hypot(*force), model.Z
 
 
-def splitting_expansion_parameter(n: int, rotor: RotorConfig,
-                                  constants: PhysicalConstants = CODATA2018) -> float:
+def splitting_expansion_parameter(n: int, rotor: RotorConfig) -> float:
     """Dimensionless x = 3 n R Omega / (2 v_a) controlling the Stark/Zeeman mix."""
-    return driven_splitting_parameter(n, rotor, None, constants)
+    return driven_splitting_parameter(n, rotor, None)
 
 
-def rotating_coulomb_levels(n: int, m_z: int, rotor: RotorConfig,
-                            constants: PhysicalConstants = CODATA2018) -> float:
+def rotating_coulomb_levels(n: int, m_z: int, rotor: RotorConfig) -> float:
     """Quasi-energy of a hydrogen level on the turntable, in joules.
 
     Bohr level minus hbar m_z sign(Omega) hypot(Omega, x Omega), where
     x = 3nROmega/2v_a collects the centrifugal Stark contribution.  R=0
     leaves the pure rotational splitting -hbar Omega m_z.
     """
-    force, Z = _turntable_force(rotor, None, constants)
-    return _fan_level(n, m_z, rotor.Omega, force, Z, constants)
+    force, Z = _turntable_force(rotor, None)
+    return _fan_level(n, m_z, rotor.Omega, force, Z)
 
 
-def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E,
-                               constants: PhysicalConstants = CODATA2018) -> float:
+def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E) -> float:
     """Splitting parameter with a genuine drive field folded in.
 
     x = 3 n |m Omega^2 R + e E| / (2 m v_a |Omega|), the vector sum taken
@@ -283,13 +269,12 @@ def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E,
     Zero rotation with a nonzero drive has no quasi-energy frame and is
     rejected; zero rotation with zero drive gives x = 0.
     """
-    force, Z = _turntable_force(rotor, drive_E, constants)
-    omega_S = _fan_rate(n, rotor.Omega, force, Z, constants)[1]
+    force, Z = _turntable_force(rotor, drive_E)
+    omega_S = _fan_rate(n, rotor.Omega, force, Z)[1]
     return omega_S / abs(rotor.Omega) if omega_S else 0.0
 
 
-def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig,
-                           drive_E, constants: PhysicalConstants = CODATA2018) -> float:
+def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig, drive_E) -> float:
     """Rotating hydrogen level with a genuine drive field added, in joules.
 
     The drive adds vectorially to the centrifugal term, so depending on the
@@ -297,12 +282,11 @@ def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig,
     drive with eE = m Omega^2 R collapses the root to exactly 1.  As Omega
     goes to zero under a drive, the fan tends to the Stark fan.
     """
-    force, Z = _turntable_force(rotor, drive_E, constants)
-    return _fan_level(n, m_z, rotor.Omega, force, Z, constants)
+    force, Z = _turntable_force(rotor, drive_E)
+    return _fan_level(n, m_z, rotor.Omega, force, Z)
 
 
-def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig,
-                              constants: PhysicalConstants = CODATA2018) -> SpectrumResult:
+def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig) -> SpectrumResult:
     """Closed-form turntable spectrum of all shells through n_max.
 
     Labels are (n, m_z), repeated once per degenerate orbital (a given m_z
@@ -314,7 +298,6 @@ def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig,
     levels = []
     for n in range(1, n_max + 1):
         for m_z in range(-(n - 1), n):
-            value = rotating_coulomb_levels(n, m_z, rotor, constants)
+            value = rotating_coulomb_levels(n, m_z, rotor)
             levels.extend(((n, m_z), value) for _ in range(n - abs(m_z)))
-    return SpectrumResult(levels=tuple(levels), method="Analytic",
-                          basis_info=f"Coulomb shells <= {n_max}")
+    return SpectrumResult(levels=tuple(levels), method="Analytic")

@@ -9,11 +9,12 @@ independent, which the test suite checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import Optional, Union
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ResonanceError, ValidationError
 
 #: Minimum allowed |omega0^2 - Omega^2| as a fraction of omega0^2.  Closer to
@@ -119,19 +120,19 @@ class CrossedFields:
         return self.pseudo_E + self.drive_E
 
     def total_stark_magnitude(self) -> float:
-        return float(np.linalg.norm(self.total_stark_field()))
+        # hypot scales before squaring, so no finite field over- or underflows
+        return hypot(*self.total_stark_field())
 
 
-def fictitious_fields(rotor: RotorConfig,
-                      constants: PhysicalConstants = CODATA2018) -> CrossedFields:
+def fictitious_fields(rotor: RotorConfig) -> CrossedFields:
     """Crossed fields that mimic the inertial forces of uniform rotation.
 
     The electron feels an effective electric field with e*E = m Omega^2 R
     pointing along the orbit vector and an effective magnetic field with
     e*B = 2 m Omega along the axis.  Both vanish for Omega = 0.
     """
-    m = constants.electron_mass
-    e = constants.elementary_charge
+    m = CODATA2018.electron_mass
+    e = CODATA2018.elementary_charge
     E_vec = (m * rotor.Omega ** 2 / e) * rotor.radius_vec
     B_vec = np.array([0.0, 0.0, 2.0 * m * rotor.Omega / e])
     return CrossedFields(pseudo_E=E_vec, pseudo_B=B_vec)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants, atomic_velocity
+from .constants import CODATA2018, atomic_velocity
 from .errors import (OutOfRegimeError, UnphysicalTransitionError,
                      ValidationError)
 # driven_splitting_parameter stays importable here for perfbench/spans.py
@@ -82,8 +82,7 @@ class ShiftReport:
     ratios: dict = field(default_factory=dict)
 
 
-def doppler_frequency(deltaE: float, v, k,
-                      constants: PhysicalConstants = CODATA2018) -> float:
+def doppler_frequency(deltaE: float, v, k) -> float:
     """Frequency of a photon emitted by a uniformly moving source, rad/s.
 
     omega = deltaE/hbar + v . k, the nonrelativistic first-order Doppler
@@ -98,13 +97,12 @@ def doppler_frequency(deltaE: float, v, k,
     if v.shape != (3,) or k.shape != (3,):
         raise ValidationError("velocity and wavevector must be 3-vectors")
     speed = float(np.linalg.norm(v))
-    if speed > MAX_DOPPLER_BETA * constants.light_speed:
+    if speed > MAX_DOPPLER_BETA * CODATA2018.light_speed:
         raise OutOfRegimeError("source speed beyond the nonrelativistic window")
-    return deltaE / constants.hbar + float(v @ k)
+    return deltaE / CODATA2018.hbar + float(v @ k)
 
 
-def self_consistent_doppler(deltaE: float, v, k_direction,
-                            constants: PhysicalConstants = CODATA2018) -> float:
+def self_consistent_doppler(deltaE: float, v, k_direction) -> float:
     """Doppler frequency with |k| = omega/c enforced self-consistently.
 
     Solves omega = deltaE/hbar + (v . k_hat) omega/c in closed form,
@@ -117,8 +115,8 @@ def self_consistent_doppler(deltaE: float, v, k_direction,
     if norm == 0:
         raise ValidationError("propagation direction must be nonzero")
     k_hat = k_hat / norm
-    rest = doppler_frequency(deltaE, v, np.zeros(3), constants)
-    return rest / (1.0 - float(np.dot(v, k_hat)) / constants.light_speed)
+    rest = doppler_frequency(deltaE, v, np.zeros(3))
+    return rest / (1.0 - float(np.dot(v, k_hat)) / CODATA2018.light_speed)
 
 
 def rotational_kinematic_shift(Omega: float, M: int) -> float:
@@ -126,8 +124,7 @@ def rotational_kinematic_shift(Omega: float, M: int) -> float:
     return Omega * M
 
 
-def emitted_frequency(levels: SpectrumResult, t: Transition, Omega: float,
-                      constants: PhysicalConstants = CODATA2018) -> float:
+def emitted_frequency(levels: SpectrumResult, t: Transition, Omega: float) -> float:
     """Photon frequency from quasi-energy conservation, rad/s.
 
     omega = (quasi-energy difference)/hbar + Omega*M.  Both transition
@@ -136,7 +133,7 @@ def emitted_frequency(levels: SpectrumResult, t: Transition, Omega: float,
     """
     upper = levels.quasi_energy(t.upper)
     lower = levels.quasi_energy(t.lower)
-    omega = (upper - lower) / constants.hbar + Omega * t.effective_M()
+    omega = (upper - lower) / CODATA2018.hbar + Omega * t.effective_M()
     if not omega > 0:
         raise UnphysicalTransitionError("computed emission frequency is not positive")
     return omega
@@ -147,12 +144,11 @@ def emitted_frequency(levels: SpectrumResult, t: Transition, Omega: float,
 # ---------------------------------------------------------------------------
 
 
-def _rest_frequency_coulomb(t: Transition, Z: int,
-                            constants: PhysicalConstants) -> float:
+def _rest_frequency_coulomb(t: Transition, Z: int) -> float:
     n, n_prime = t.upper[0], t.lower[0]
-    v_a = atomic_velocity(Z, constants)
-    m = constants.electron_mass
-    return (m * v_a ** 2 / (2.0 * constants.hbar)) * (1.0 / n_prime ** 2 - 1.0 / n ** 2)
+    v_a = atomic_velocity(Z)
+    m = CODATA2018.electron_mass
+    return (m * v_a ** 2 / (2.0 * CODATA2018.hbar)) * (1.0 / n_prime ** 2 - 1.0 / n ** 2)
 
 
 def _check_transition_labels(t: Transition):
@@ -161,31 +157,29 @@ def _check_transition_labels(t: Transition):
             raise ValidationError(f"{name} level needs q >= 1 and |m_z| <= q-1")
 
 
-def _turntable_report(t: Transition, rotor: RotorConfig, drive_E,
-                      constants: PhysicalConstants) -> ShiftReport:
+def _turntable_report(t: Transition, rotor: RotorConfig, drive_E) -> ShiftReport:
     # shared body of the undriven (drive_E None) and driven report
-    force, Z = _turntable_force(rotor, drive_E, constants)
+    force, Z = _turntable_force(rotor, drive_E)
     _check_transition_labels(t)
     (n, m_z), (n_prime, m_zp) = t.upper, t.lower
     Omega = rotor.Omega
 
     def excess(q: int) -> float:
         # Omega_fan - Omega, stable for small omega_S, finite with the level
-        s = _fan_rate(q, Omega, force, Z, constants)[1]
+        s = _fan_rate(q, Omega, force, Z)[1]
         return copysign(s * (s / (hypot(Omega, s) + abs(Omega))) if s else 0.0, Omega)
 
     dynamic = m_zp * excess(n_prime) - m_z * excess(n)
     kinematic = Omega * (t.effective_M() - (m_z - m_zp))
     drfs = kinematic + dynamic
-    omega_rest = _rest_frequency_coulomb(t, Z, constants)
+    omega_rest = _rest_frequency_coulomb(t, Z)
     return ShiftReport(transition=t, omega_rest=omega_rest,
                        omega_rotating=omega_rest + drfs, drfs=drfs,
                        kinematic_part=kinematic, dynamic_part=dynamic,
                        ratios={})
 
 
-def drfs_exact(t: Transition, rotor: RotorConfig,
-               constants: PhysicalConstants = CODATA2018) -> ShiftReport:
+def drfs_exact(t: Transition, rotor: RotorConfig) -> ShiftReport:
     """Rotational frequency shift of a hydrogen transition, exact form.
 
     Computed strictly as the quasi-energy difference of the two rotating
@@ -193,15 +187,14 @@ def drfs_exact(t: Transition, rotor: RotorConfig,
     sign.  The report decomposes the shift into the kinematic part
     Omega (M - Delta m_z) and the dynamic square-root excess.
     """
-    report = _turntable_report(t, rotor, None, constants)
+    report = _turntable_report(t, rotor, None)
     if report.omega_rest > 0 and t.effective_M() == t.upper[1] - t.lower[1]:
         report.ratios["transverse_doppler"] = transverse_doppler_ratio(
-            t, rotor.Omega, report.omega_rest, constants, Z=rotor.model.Z)
+            t, rotor.Omega, report.omega_rest, Z=rotor.model.Z)
     return report
 
 
-def driven_shift_report(t: Transition, rotor: RotorConfig, drive_E,
-                        constants: PhysicalConstants = CODATA2018) -> ShiftReport:
+def driven_shift_report(t: Transition, rotor: RotorConfig, drive_E) -> ShiftReport:
     """Rotational frequency shift with a genuine drive field included.
 
     Same quasi-energy bookkeeping as drfs_exact, with the drive folded
@@ -209,11 +202,10 @@ def driven_shift_report(t: Transition, rotor: RotorConfig, drive_E,
     transverse Doppler ratio are not defined in this regime, so the ratio
     map stays empty.
     """
-    return _turntable_report(t, rotor, drive_E, constants)
+    return _turntable_report(t, rotor, drive_E)
 
 
-def harmonic_shift_report(t: Transition, rotor: RotorConfig,
-                          constants: PhysicalConstants = CODATA2018) -> ShiftReport:
+def harmonic_shift_report(t: Transition, rotor: RotorConfig) -> ShiftReport:
     """Rotational frequency shift of a harmonic-trap transition.
 
     The rotating-trap levels depend on Omega only through -Omega m_z and a
@@ -230,7 +222,7 @@ def harmonic_shift_report(t: Transition, rotor: RotorConfig,
     kinematic = rotor.Omega * (t.effective_M() - (m_z - m_zp))
     drfs = kinematic + 0.0
     ratios = {}
-    scale = omega_rest * rotor.v_c ** 2 / (2.0 * constants.light_speed ** 2)
+    scale = omega_rest * rotor.v_c ** 2 / (2.0 * CODATA2018.light_speed ** 2)
     if scale > 0:
         # v_c**2 can underflow to zero even when v_c is not
         ratios["transverse_doppler"] = drfs / scale
@@ -241,7 +233,6 @@ def harmonic_shift_report(t: Transition, rotor: RotorConfig,
 
 
 def drfs_series(t: Transition, rotor: RotorConfig,
-                constants: PhysicalConstants = CODATA2018,
                 coefficient: float = SERIES_COEFFICIENT) -> float:
     """Leading-order rotational shift, rad/s.
 
@@ -256,12 +247,12 @@ def drfs_series(t: Transition, rotor: RotorConfig,
     _check_transition_labels(t)
     (n, m_z), (n_prime, m_zp) = t.upper, t.lower
     for q in (n, n_prime):
-        x = splitting_expansion_parameter(q, rotor, constants)
+        x = splitting_expansion_parameter(q, rotor)
         if x >= MAX_SERIES_PARAMETER:
             raise OutOfRegimeError(
                 f"expansion parameter {x:.3g} for shell {q} is outside the "
                 f"series window (< {MAX_SERIES_PARAMETER})")
-    v_a = atomic_velocity(rotor.model.Z, constants)
+    v_a = atomic_velocity(rotor.model.Z)
     kinematic = rotor.Omega * (t.effective_M() - (m_z - m_zp))
     dynamic = (coefficient * (n_prime ** 2 * m_zp - n ** 2 * m_z)
                * rotor.Omega * (rotor.v_c / v_a) ** 2)
@@ -269,7 +260,6 @@ def drfs_series(t: Transition, rotor: RotorConfig,
 
 
 def transverse_doppler_ratio(t: Transition, Omega: float, omega_rest: float,
-                             constants: PhysicalConstants = CODATA2018,
                              Z: int = 1) -> float:
     """Series shift divided by the transverse Doppler scale omega v_c^2/2c^2.
 
@@ -284,22 +274,21 @@ def transverse_doppler_ratio(t: Transition, Omega: float, omega_rest: float,
     (n, m_z), (n_prime, m_zp) = t.upper, t.lower
     if t.effective_M() != m_z - m_zp:
         raise ValidationError("ratio is defined for M = m_z - m_z' emission")
-    v_a = atomic_velocity(Z, constants)
-    c = constants.light_speed
+    v_a = atomic_velocity(Z)
+    c = CODATA2018.light_speed
     return (2.0 * SERIES_COEFFICIENT * (n_prime ** 2 * m_zp - n ** 2 * m_z)
             * (c / v_a) ** 2 * (Omega / omega_rest))
 
 
-def force_ratio(rotor: RotorConfig, drive_E: float,
-                constants: PhysicalConstants = CODATA2018) -> float:
+def force_ratio(rotor: RotorConfig, drive_E: float) -> float:
     """Centrifugal force on the electron over the drive-field force.
 
     m Omega^2 R / (e E); zero rotation gives exactly zero.
     """
     if not drive_E > 0:
         raise ValidationError("drive field must be positive")
-    m = constants.electron_mass
-    e = constants.elementary_charge
+    m = CODATA2018.electron_mass
+    e = CODATA2018.elementary_charge
     return m * rotor.Omega ** 2 * rotor.R / (e * drive_E)
 
 
@@ -308,8 +297,7 @@ def force_ratio(rotor: RotorConfig, drive_E: float,
 ENGINEERING_COEFFICIENT = 2.24e-10
 
 
-def force_ratio_engineering(rotor: RotorConfig, drive_E: float,
-                            constants: PhysicalConstants = CODATA2018) -> float:
+def force_ratio_engineering(rotor: RotorConfig, drive_E: float) -> float:
     """Force ratio from the rounded rule of thumb 2.24e-10 (f/Hz)^2 R / E.
 
     Uses the rotation frequency in cycles per second; agrees with the
@@ -322,10 +310,9 @@ def force_ratio_engineering(rotor: RotorConfig, drive_E: float,
     return ENGINEERING_COEFFICIENT * f ** 2 * rotor.R / drive_E
 
 
-def velocity_ratio_squared(rotor: RotorConfig,
-                           constants: PhysicalConstants = CODATA2018) -> float:
+def velocity_ratio_squared(rotor: RotorConfig) -> float:
     """(v_c / v_a)^2, the small parameter of the whole rotational problem."""
     if not isinstance(rotor.model, Coulomb):
         raise ValidationError("rotor model must be Coulomb")
-    v_a = atomic_velocity(rotor.model.Z, constants)
+    v_a = atomic_velocity(rotor.model.Z)
     return (rotor.v_c / v_a) ** 2

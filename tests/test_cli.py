@@ -229,6 +229,18 @@ def test_spectrum_coulomb_needs_transition(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_refuses_a_nonzero_drive(tmp_path, capsys):
+    # the table is the undriven one, so a drive would be dropped without a word
+    config = coulomb_drfs_config(drive={"E_V_per_m": 1e7})
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 2
+    assert "drive.E_V_per_m" in capsys.readouterr().err
+    assert main(["spectrum", "--config", write_config(tmp_path, coulomb_drfs_config())]) == 0
+    undriven = capsys.readouterr().out
+    config["drive"]["E_V_per_m"] = 0.0
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 0
+    assert capsys.readouterr().out == undriven
+
+
 def test_spectrum_basis_cap(tmp_path, capsys):
     config = {
         "model": "harmonic",

@@ -1,9 +1,11 @@
 """Constants table self-consistency and the atomic scales built from it."""
 
+import inspect
 from math import pi
 
 import pytest
 
+import rotoshift
 from rotoshift import (CODATA2018, PhysicalConstants, ValidationError,
                        atomic_velocity)
 
@@ -49,3 +51,12 @@ def test_atomic_scales_are_consistent():
     # hartree equals alpha^2 m c^2
     assert c.hartree == pytest.approx(
         c.fine_structure ** 2 * c.electron_mass * c.light_speed ** 2, rel=1e-12)
+
+
+def test_no_public_callable_takes_a_constants_table():
+    # every formula reads the one compiled-in CODATA2018 table
+    takers = [name for name in rotoshift.__all__
+              if callable(obj := getattr(rotoshift, name))
+              and not (isinstance(obj, type) and issubclass(obj, Exception))
+              and "constants" in inspect.signature(obj).parameters]
+    assert takers == []

@@ -1,13 +1,14 @@
 """Rotor geometry, fictitious fields, and the resonance guard."""
 
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 import pytest
 
 from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        ResonanceError, RotorConfig, ValidationError,
-                       drive_field_vector, fictitious_fields)
+                       crossed_field_levels, drive_field_vector,
+                       fictitious_fields)
 
 
 def coulomb_rotor(Omega=2 * pi * 80e6, R=5e-11):
@@ -104,6 +105,14 @@ def test_total_stark_field_sums_drive():
     bare = CrossedFields(pseudo_E=np.array([0.0, 2.0, 0.0]),
                          pseudo_B=np.array([0.0, 0.0, 1.0]))
     assert bare.total_stark_magnitude() == pytest.approx(2.0)
+
+
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
+@pytest.mark.parametrize("size", [1e200, 1e-200], ids=["square-overflows", "square-underflows"])
+def test_total_stark_magnitude_exact_where_its_square_is_not(size):
+    f = CrossedFields(pseudo_E=np.array([size, 0.0, 0.0]), pseudo_B=np.zeros(3))
+    assert f.total_stark_magnitude() == size
+    assert all(isfinite(crossed_field_levels(3, m_z, f)) for m_z in range(-2, 3))
 
 
 def test_drive_field_orientation():
