@@ -54,26 +54,74 @@ class TruncatedBasis:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
+def _coupled_blocks(H: np.ndarray) -> list:
+    # index sets of the connected components of the nonzero pattern of H,
+    # by breadth-first search; H is block diagonal over them
+    linked = H != 0
+    linked |= linked.T
+    free = np.ones(len(H), dtype=bool)
+    blocks = []
+    while free.any():
+        block = np.zeros_like(free)
+        frontier = np.zeros_like(free)
+        frontier[np.argmax(free)] = True
+        while frontier.any():
+            block |= frontier
+            frontier = linked[frontier].any(axis=0) & ~block
+        free &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix over a labeled truncated basis."""
+    """Hermitian operator over a labeled truncated basis, kept as the blocks
+    it leaves uncoupled: (indices, block) pairs whose indices partition the
+    basis, each block a read-only dense Hermitian array over its indices.
+    """
 
     basis: TruncatedBasis
-    matrix: np.ndarray
+    blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     hermiticity_defect: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, scattered from the blocks on every read."""
+        dim = self.basis.dimension
+        dense = np.zeros((dim, dim), np.result_type(float, *(b for _, b in self.blocks)))
+        for indices, block in self.blocks:
+            dense[np.ix_(indices, indices)] = block
+        dense.flags.writeable = False
+        return dense
 
     @classmethod
     def from_matrix(cls, basis: TruncatedBasis, matrix: np.ndarray) -> "HermitianOperator":
-        # the cast copies, so the stored matrix shares no memory with the caller
-        matrix = np.array(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
+        """Split a dense matrix into the blocks its nonzero pattern leaves uncoupled."""
+        matrix = np.asarray(matrix)
         if matrix.shape != (basis.dimension, basis.dimension):
             raise ValidationError("matrix dimension does not match basis dimension")
-        defect = float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
-        scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+        # every nonzero element lies in a block, so the blocks' check is the matrix's
+        return cls.from_blocks(basis, [(i, matrix[np.ix_(i, i)]) for i in _coupled_blocks(matrix)])
+
+    @classmethod
+    def from_blocks(cls, basis: TruncatedBasis, blocks) -> "HermitianOperator":
+        """Operator from (indices, block) pairs whose indices partition the basis."""
+        # the casts copy, so no stored array shares memory with the caller
+        blocks = [(np.array(i, dtype=np.int64),
+                   np.array(b, dtype=complex if np.iscomplexobj(b) else float))
+                  for i, b in blocks]
+        if any(i.ndim != 1 or b.shape != (len(i), len(i)) for i, b in blocks):
+            raise ValidationError("block dimension does not match its indices")
+        taken = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in blocks])
+        if not np.array_equal(np.sort(taken), np.arange(basis.dimension)):
+            raise ValidationError("block indices must partition the basis")
+        defect = max([0.0] + [np.max(np.abs(b - b.conj().T), initial=0.0) for _, b in blocks])
+        scale = max([0.0] + [np.max(np.abs(b), initial=0.0) for _, b in blocks])
         if defect > 1e-12 * max(scale, 1e-300):
             raise ValidationError("matrix is not Hermitian to working precision")
-        matrix.flags.writeable = False
-        return cls(basis=basis, matrix=matrix, hermiticity_defect=defect)
+        for i, b in blocks:
+            i.flags.writeable = b.flags.writeable = False
+        return cls(basis=basis, blocks=tuple(blocks), hermiticity_defect=float(defect))
 
 
 def build_ho_basis(N_max: int) -> TruncatedBasis:
@@ -101,16 +149,16 @@ def hydrogen_manifold_basis(n: int) -> TruncatedBasis:
     return TruncatedBasis(kind="HydrogenManifold", labels=tuple(labels))
 
 
-def _label_hops(basis: TruncatedBasis):
-    """Label array and hop function of any truncated basis.
+def _label_hops(labels):
+    """Label array and hop function of a sorted list of unique labels.
 
-    hop(*shift) returns (source, target): the basis indices of every label
-    whose shift by `shift` stays inside the basis, and the indices of the
-    shifted labels; callers read occupations from labels[source].  Targets
-    come from a label -> index table padded by one on each side of each
-    label component's range.
+    hop(*shift) returns (source, target): the indices of every label whose
+    shift by `shift` stays inside the list, and the indices of the shifted
+    labels; callers read occupations from labels[source].  Targets come
+    from a label -> index table padded by one on each side of each label
+    component's range.
     """
-    labels = np.array(basis.labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     low = labels.min(axis=0) - 1
     table = np.full(tuple(labels.max(axis=0) - low + 2), -1, dtype=np.int64)
     table[tuple((labels - low).T)] = np.arange(len(labels))
@@ -126,6 +174,15 @@ def _label_hops(basis: TruncatedBasis):
 # ---------------------------------------------------------------------------
 # harmonic trap on a turntable
 # ---------------------------------------------------------------------------
+
+
+def _ho_sectors(basis: TruncatedBasis) -> list:
+    # (indices, labels, hop) of each n_z sector, n_z ascending
+    if basis.kind != "HO3D":
+        raise ValidationError("oscillator operators need an HO3D basis")
+    labels = np.array(basis.labels, dtype=np.int64)
+    sectors = [np.flatnonzero(labels[:, 2] == nz) for nz in np.unique(labels[:, 2])]
+    return [(indices, *_label_hops(labels[indices])) for indices in sectors]
 
 
 def _ho_lz(labels: np.ndarray, hop) -> np.ndarray:
@@ -148,7 +205,7 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     joules.  The first two terms are diagonal, the angular-momentum term
     couples (n_x, n_y) -> (n_x -+ 1, n_y +- 1) within an oscillator shell,
     and the velocity term couples adjacent shells through p_x.  No term
-    changes n_z.
+    changes n_z, so each n_z sector is assembled as its own block.
 
     The matrix is written in the gauge |n> -> i^{n_x} |n>, where every
     ladder element is real: L_z has elements -sqrt(n_x (n_y + 1)) and
@@ -157,23 +214,23 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     """
     if not isinstance(rotor.model, Harmonic):
         raise ValidationError("rotor model must be Harmonic")
-    if basis.kind != "HO3D":
-        raise ValidationError("oscillator operators need an HO3D basis")
-    labels, hop = _label_hops(basis)
     omega0 = rotor.model.omega0
     wrel = rotor.Omega / omega0
     # dimensionless orbital velocity in trap units sqrt(hbar omega0 / m)
     vrel = rotor.v_c * sqrt(CODATA2018.electron_mass / (CODATA2018.hbar * omega0))
 
-    H = -wrel * _ho_lz(labels, hop)
-    np.fill_diagonal(H, labels.sum(axis=1) + 1.5)
-    # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
-    source, target = hop(1, 0, 0)
-    H[target, source] = -vrel * np.sqrt((labels[source, 0] + 1) / 2.0)
-    source, target = hop(-1, 0, 0)
-    H[target, source] = -vrel * np.sqrt(labels[source, 0] / 2.0)
-    H *= CODATA2018.hbar * omega0
-    return HermitianOperator.from_matrix(basis, H)
+    blocks = []
+    for indices, labels, hop in _ho_sectors(basis):
+        H = -wrel * _ho_lz(labels, hop)
+        np.fill_diagonal(H, labels.sum(axis=1) + 1.5)
+        # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
+        source, target = hop(1, 0, 0)
+        H[target, source] = -vrel * np.sqrt((labels[source, 0] + 1) / 2.0)
+        source, target = hop(-1, 0, 0)
+        H[target, source] = -vrel * np.sqrt(labels[source, 0] / 2.0)
+        H *= CODATA2018.hbar * omega0
+        blocks.append((indices, H))
+    return HermitianOperator.from_blocks(basis, blocks)
 
 
 def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
@@ -183,9 +240,8 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
     ho_rotating_hamiltonian: the elements are -sqrt(n_x (n_y + 1)) and
     -sqrt((n_x + 1) n_y).
     """
-    if basis.kind != "HO3D":
-        raise ValidationError("oscillator operators need an HO3D basis")
-    return HermitianOperator.from_matrix(basis, _ho_lz(*_label_hops(basis)))
+    return HermitianOperator.from_blocks(
+        basis, [(indices, _ho_lz(labels, hop)) for indices, labels, hop in _ho_sectors(basis)])
 
 
 def displacement_parameters(rotor: RotorConfig):
@@ -259,6 +315,18 @@ def radial_dipole_integral(n: int, l: int, l_prime: int) -> float:
     return float(val)
 
 
+@lru_cache(maxsize=None)
+def _radial_table(n: int) -> np.ndarray:
+    # radial[l', l] = <n l'| r |n l>, each direction its own quadrature;
+    # depends on n alone, so it is built once per shell and shared read-only
+    radial = np.zeros((n, n))
+    for l in range(n - 1):
+        radial[l + 1, l] = radial_dipole_integral(n, l, l + 1)
+        radial[l, l + 1] = radial_dipole_integral(n, l + 1, l)
+    radial.flags.writeable = False
+    return radial
+
+
 def manifold_position_matrices(n: int):
     """Cartesian position matrices (x, y, z) over one shell, in a0/Z units.
 
@@ -271,19 +339,14 @@ def manifold_position_matrices(n: int):
     vanish on the diagonal by parity; x and z are real, y purely imaginary.
     """
     basis = hydrogen_manifold_basis(n)
-    labels, hop = _label_hops(basis)
-    # radial[l', l] = <n l'| r |n l>, each direction its own quadrature
-    radial = np.zeros((n, n))
-    for l in range(n - 1):
-        radial[l + 1, l] = radial_dipole_integral(n, l, l + 1)
-        radial[l, l + 1] = radial_dipole_integral(n, l + 1, l)
+    labels, hop = _label_hops(basis.labels)
     Z = np.zeros((basis.dimension, basis.dimension))
     for dl in (-1, 1):
         source, target = hop(0, dl, 0)
         l, m = labels[source, 1], labels[source, 2]
         low = l + min(dl, 0)
         cos = np.sqrt((low + 1 - m) * (low + 1 + m) / ((2 * low + 1) * (2 * low + 3)))
-        Z[target, source] = radial[l + dl, l] * cos
+        Z[target, source] = _radial_table(n)[l + dl, l] * cos
     Lp = np.zeros_like(Z)
     source, target = hop(0, 0, 1)
     l, m = labels[source, 1], labels[source, 2]

@@ -59,49 +59,26 @@ class SpectrumResult:
         raise StateNotFoundError(f"no level labeled {label!r} in this spectrum")
 
 
-def _coupled_blocks(H: np.ndarray) -> list:
-    # index sets of the connected components of the nonzero pattern of H,
-    # by breadth-first search; H is block diagonal over them
-    linked = H != 0
-    linked |= linked.T
-    free = np.ones(len(H), dtype=bool)
-    blocks = []
-    while free.any():
-        block = np.zeros_like(free)
-        frontier = np.zeros_like(free)
-        frontier[np.argmax(free)] = True
-        while frontier.any():
-            block |= frontier
-            frontier = linked[frontier].any(axis=0) & ~block
-        free &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
 def eigen_spectrum(operator) -> SpectrumResult:
     """All eigenvalues of a Hermitian operator, ascending.
 
-    Accepts a HermitianOperator or a raw matrix (validated for
-    hermiticity).  The matrix is split into the blocks its nonzero pattern
-    leaves uncoupled, which is exact, and each block is diagonalized on its
+    Accepts a HermitianOperator or a raw matrix, which from_matrix checks
+    and splits into its uncoupled blocks; each block is diagonalized on its
     own.  Each eigenpair is checked against the residual bound
     ||Hv - lambda v|| <= 1e-10 ||H||, with ||H|| the largest |eigenvalue|
-    of the whole spectrum; dense symmetric solvers sit orders of magnitude
-    below that, so a violation indicates a broken input.
+    of the whole spectrum, dividing by ||H|| before squaring; dense
+    symmetric solvers sit orders of magnitude below that, so a violation
+    indicates a broken input.
     """
     if not isinstance(operator, HermitianOperator):
         basis = TruncatedBasis(kind="HO3D", labels=tuple((i,) for i in range(len(operator))))
         operator = HermitianOperator.from_matrix(basis, operator)
-    H = operator.matrix
-    solved = []
-    for block in _coupled_blocks(H):
-        sub = H[np.ix_(block, block)]
-        solved.append((sub,) + tuple(np.linalg.eigh(sub)))
+    solved = [(block,) + tuple(np.linalg.eigh(block)) for _, block in operator.blocks]
     vals = np.sort(np.concatenate([np.zeros(0)] + [v for _, v, _ in solved]))
-    norm = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    for sub, v, vecs in solved:
-        residual = np.linalg.norm(sub @ vecs - vecs * v, axis=0)
-        if np.any(residual > 1e-10 * max(norm, 1e-300)):
+    norm = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
+    for block, v, vecs in solved:
+        residual = np.linalg.norm((block @ vecs - vecs * v) / norm, axis=0)
+        if np.any(residual > 1e-10):
             raise RotoshiftError("eigensolver residual exceeds tolerance")
     levels = tuple(((i,), float(v)) for i, v in enumerate(vals))
     return SpectrumResult(levels=levels, method="Diagonalization")

@@ -241,6 +241,18 @@ def test_spectrum_refuses_a_nonzero_drive(tmp_path, capsys):
     assert capsys.readouterr().out == undriven
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
+def test_spectrum_residual_check_scales_before_squaring(tmp_path, capsys):
+    # the shell-2 perturbation reaches 1e184 J, whose square leaves double
+    # precision; the residual check must still pass and the table stay finite
+    config = coulomb_drfs_config(rotor={"omega_rad_s": 1e12, "radius_m": 1e200},
+                                 transition={"upper": [2, 0], "lower": [1, 0]})
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 5
+    assert all(np.isfinite(float(value)) for row in rows for value in row)
+
+
 def test_spectrum_basis_cap(tmp_path, capsys):
     config = {
         "model": "harmonic",

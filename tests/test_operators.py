@@ -6,19 +6,21 @@ Gauss-Laguerre-independent closed forms and against sympy's Gaunt
 coefficients for the angular factors.
 """
 
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
 import pytest
 
+from rotoshift import operators
 from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        HermitianOperator, ResonanceError, RotorConfig,
                        SelectionRuleError, TruncatedBasis, ValidationError,
                        build_ho_basis, displacement_parameters,
                        fictitious_fields, ho_lz_matrix,
                        ho_rotating_hamiltonian, hydrogen_manifold_basis,
-                       manifold_perturbation, manifold_position_matrices,
-                       radial_dipole_integral)
+                       eigen_spectrum, manifold_perturbation,
+                       manifold_position_matrices, radial_dipole_integral)
 
 OMEGA0 = 1e13  # reference trap frequency, rad/s
 
@@ -96,6 +98,49 @@ def test_operator_matrix_is_read_only():
     op = ho_lz_matrix(basis)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 1.0
+
+
+def test_block_constructor_validates_and_freezes():
+    basis = build_ho_basis(1)  # 4 states
+    sym = np.array([[1.0, 2.0], [2.0, 3.0]])
+    with pytest.raises(ValidationError, match="Hermitian"):
+        HermitianOperator.from_blocks(basis, [([0, 1], [[1.0, 2.0], [0.0, 3.0]]),
+                                              ([2, 3], sym)])
+    for indices in ([[0, 1], [1, 2]], [[0, 1], [2, 4]], [[0, 1], [2, 2]], [[0, 1]]):
+        with pytest.raises(ValidationError, match="partition"):
+            HermitianOperator.from_blocks(basis, [(i, np.eye(len(i))) for i in indices])
+    with pytest.raises(ValidationError, match="dimension"):
+        HermitianOperator.from_blocks(basis, [([0, 1, 2], sym), ([3], [[1.0]])])
+    op = HermitianOperator.from_blocks(basis, [([3, 0], sym), ([1], [[5.0]]), ([2], [[7.0]])])
+    assert sym.flags.writeable  # the caller's array is copied, not frozen
+    for indices, block in op.blocks:
+        for array in (indices, block):
+            with pytest.raises(ValueError):
+                array[0] = 0
+    want = np.array([[3.0, 0, 0, 2.0], [0, 5.0, 0, 0], [0, 0, 7.0, 0], [2.0, 0, 0, 1.0]])
+    assert np.array_equal(op.matrix, want)
+
+
+def test_oscillator_blocks_are_the_nz_sectors_and_match_the_dense_route():
+    basis = build_ho_basis(8)
+    op = ho_rotating_hamiltonian(basis, harmonic_rotor(0.3, 0.05))
+    nz = np.array(basis.labels)[:, 2]
+    assert [sorted(set(nz[i])) for i, _ in op.blocks] == [[z] for z in range(9)]
+    assert np.array_equal(eigen_spectrum(op).energies(),
+                          eigen_spectrum(np.array(op.matrix)).energies())
+
+
+def test_oscillator_route_never_forms_the_dense_matrix():
+    # one dense float64 matrix at basis_n_max 20 takes 1771^2 * 8 bytes
+    basis = build_ho_basis(20)
+    rotor = harmonic_rotor(0.07, 0.02)
+    tracemalloc.start()
+    try:
+        eigen_spectrum(ho_rotating_hamiltonian(basis, rotor))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.dimension ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +312,25 @@ def test_radial_integral_selection_rules():
         radial_dipole_integral(1, 0, 1)
     with pytest.raises(ValidationError):
         radial_dipole_integral(0, 0, 1)
+
+
+def test_shell_radial_quadratures_run_once(monkeypatch):
+    calls = []
+
+    def counted(n, l, l_prime):
+        calls.append((n, l, l_prime))
+        return radial_dipole_integral(n, l, l_prime)
+    monkeypatch.setattr(operators, "radial_dipole_integral", counted)
+    operators._radial_table.cache_clear()
+    first = manifold_position_matrices(7)
+    again = manifold_position_matrices(7)
+    assert len(calls) == 2 * (7 - 1)
+    for a, b in zip(first[1:], again[1:]):
+        assert np.array_equal(a, b)
+    table = operators._radial_table(7)
+    assert table[1, 0] == radial_dipole_integral(7, 0, 1)
+    with pytest.raises(ValueError):
+        table[1, 0] = 0.0
 
 
 def _spherical_components(n):

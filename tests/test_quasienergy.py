@@ -10,7 +10,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from rotoshift import quasienergy
+from rotoshift import operators, quasienergy
 
 from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        PerturbativeRegimeWarning, RotoshiftError, RotorConfig,
@@ -97,7 +97,7 @@ def interleaved_blocks():
 
 def test_eigen_spectrum_splits_interleaved_blocks():
     H, order = interleaved_blocks()
-    blocks = quasienergy._coupled_blocks(H)
+    blocks = operators._coupled_blocks(H)
     assert sorted(sorted(order[b].tolist()) for b in blocks) == [[0, 1, 2], [3, 4, 5, 6]]
     got = eigen_spectrum(H).energies()
     want = np.linalg.eigvalsh(H)
