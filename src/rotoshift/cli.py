@@ -29,10 +29,12 @@ import numpy as np
 
 from .constants import CODATA2018
 from .errors import (OutOfRegimeError, ResonanceError, RotoshiftError,
-                     ValidationError)
+                     ValidationError, double_precision)
 from .operators import (build_ho_basis, ho_rotating_hamiltonian,
                         manifold_perturbation)
-# splitting_expansion_parameter stays importable here for perfbench/spans.py
+# ho_rotating_levels, driven_splitting_parameter and
+# splitting_expansion_parameter are no longer called here; they stay
+# importable for perfbench/spans.py, which wraps them by this module's name
 from .quasienergy import (driven_splitting_parameter, eigen_spectrum,
                           first_order_degenerate_levels,
                           driven_rotating_levels, ho_rotating_levels,
@@ -348,9 +350,8 @@ def _build_transition(config: dict, M_override=None) -> Transition:
     return Transition(upper=tuple(block["upper"]), lower=tuple(block["lower"]), M=M)
 
 
-def _drive_vector(rotor: RotorConfig, config: dict):
-    """(vector, magnitude) of the configured drive field, or (None, None)."""
-    drive = config.get("drive")
+def _drive_vector(rotor: RotorConfig, drive):
+    """(vector, magnitude) of a config's drive block, or (None, None)."""
     if not drive:
         return None, None
     magnitude = float(drive["E_V_per_m"])
@@ -374,69 +375,48 @@ def _sweep_values(sweep: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _transition_row(swept_value: float, config: dict, rotor: RotorConfig,
-                    t: Transition, drive_vec, drive_mag) -> list:
-    if config["model"] == "harmonic":
+def _transition_row(swept_value: float, rotor: RotorConfig, t: Transition,
+                    drive_vec, drive_mag) -> list:
+    # the report carries the levels and splitting factors; the model and the
+    # drive pick only the report and the series and force-ratio cells
+    series = series_alt = fratio = None
+    if isinstance(rotor.model, Harmonic):
         report = harmonic_shift_report(t, rotor)
-        upper = ho_rotating_levels(t.upper[0], t.upper[1], rotor)
-        lower = ho_rotating_levels(t.lower[0], t.lower[1], rotor)
-        # Omega couples only through -Omega m_z here, factor exactly one
-        series = report.kinematic_part
-        series_alt = report.kinematic_part
-        factor_u = factor_l = 1.0
-        fratio = None
+        # Omega couples only through -Omega m_z here, so no dynamic term
+        series = series_alt = report.kinematic_part
+    elif drive_vec is not None:
+        report = driven_shift_report(t, rotor, drive_vec)
+        fratio = force_ratio(rotor, drive_mag)
     else:
-        report = (drfs_exact(t, rotor) if drive_vec is None
-                  else driven_shift_report(t, rotor, drive_vec))
-        upper = driven_rotating_levels(t.upper[0], t.upper[1], rotor, drive_vec)
-        lower = driven_rotating_levels(t.lower[0], t.lower[1], rotor, drive_vec)
-        factor_u, factor_l = (
-            math.hypot(1.0, driven_splitting_parameter(q, rotor, drive_vec))
-            for q in (t.upper[0], t.lower[0]))
-        series = series_alt = fratio = None
-        if drive_vec is not None:
-            fratio = force_ratio(rotor, drive_mag)
-        else:
-            try:
-                series = drfs_series(t, rotor)
-                series_alt = drfs_series(t, rotor, coefficient=ALT_SERIES_COEFFICIENT)
-            except OutOfRegimeError:
-                pass
-    return [swept_value, t.effective_M(), upper, lower, report.omega_rest,
+        report = drfs_exact(t, rotor)
+        try:
+            series = drfs_series(t, rotor)
+            series_alt = drfs_series(t, rotor, coefficient=ALT_SERIES_COEFFICIENT)
+        except OutOfRegimeError:
+            pass
+    return [swept_value, t.effective_M(), *report.quasi_energies, report.omega_rest,
             report.drfs, series, series_alt, report.kinematic_part,
-            report.dynamic_part, factor_u, factor_l,
+            report.dynamic_part, *report.splitting_factors,
             report.ratios.get("transverse_doppler"), fratio]
 
 
-def _run_drfs(config: dict, M_override):
-    rotor = _build_rotor(config)
-    t = _build_transition(config, M_override)
-    drive_vec, drive_mag = _drive_vector(rotor, config)
-    row = _transition_row(rotor.Omega, config, rotor, t, drive_vec, drive_mag)
-    return REPORT_COLUMNS, [row]
-
-
-def _run_sweep(config: dict, M_override):
+def _run_sweep(config: dict, M_override, axis: str, values) -> tuple:
+    # one report row per value of the swept axis; drfs is the one-point
+    # omega sweep at the configured rate, which keeps the configured rotor
     rotor0 = _build_rotor(config)
     t = _build_transition(config, M_override)
-    sweep = config["sweep"]
-    axis = sweep["axis"]
-    values = _sweep_values(sweep)
 
     def build(value: float) -> list:
-        if axis == "omega":
-            rotor = RotorConfig(Omega=float(value), R=rotor0.R, model=rotor0.model)
-            drive_vec, drive_mag = _drive_vector(rotor, config)
+        rotor, drive = rotor0, config.get("drive")
+        if axis == "omega" and value != rotor0.Omega:
+            rotor = RotorConfig(Omega=value, R=rotor0.R, model=rotor0.model)
         elif axis == "radius":
-            rotor = RotorConfig(Omega=rotor0.Omega, R=float(value), model=rotor0.model)
-            drive_vec, drive_mag = _drive_vector(rotor, config)
-        else:
-            rotor = rotor0
-            drive = dict(config["drive"], E_V_per_m=float(value))
-            drive_vec, drive_mag = _drive_vector(rotor, dict(config, drive=drive))
-        return _transition_row(float(value), config, rotor, t, drive_vec, drive_mag)
+            rotor = RotorConfig(Omega=rotor0.Omega, R=value, model=rotor0.model)
+        elif axis == "drive":
+            drive = dict(drive, E_V_per_m=value)
+        return _transition_row(value, rotor, t, *_drive_vector(rotor, drive))
 
-    return REPORT_COLUMNS, [build(v) for v in values]
+    return REPORT_COLUMNS, [build(float(v)) for v in values]
 
 
 def _closed_form_spectrum(spectrum, top: int, rotor: RotorConfig):
@@ -559,24 +539,25 @@ def run_scenario(config: dict, command: str, out: str = None,
     validity window; main() maps those onto exit codes 2 and 3.
     """
     config = validate_config(config, command)
-    try:
+    # a division by a product that underflowed to zero, or a square past the
+    # float range, that no library function names: like a non-finite cell,
+    # out of double precision
+    with double_precision("the computation"):
         if command == "spectrum":
             columns, rows = _run_spectrum(config)
         elif command == "drfs":
-            columns, rows = _run_drfs(config, M_override)
+            columns, rows = _run_sweep(config, M_override, "omega",
+                                       [config["rotor"]["omega_rad_s"]])
         elif command == "doppler":
             columns, rows = _run_doppler(config)
         elif command == "compare-stark":
             columns, rows = _run_compare_stark(config)
         elif command == "sweep":
-            columns, rows = _run_sweep(config, M_override)
+            sweep = config["sweep"]
+            columns, rows = _run_sweep(config, M_override, sweep["axis"],
+                                       _sweep_values(sweep))
         else:
             raise ValidationError(f"unknown command {command!r}")
-    except (ZeroDivisionError, OverflowError) as exc:
-        # a division by a product that underflowed to zero, or a square past
-        # the float range: like a non-finite cell, out of double precision
-        raise OutOfRegimeError(f"the computation leaves the double-precision "
-                               f"range ({exc})") from exc
     _check_finite(columns, rows)
 
     output = config.get("output") or {}

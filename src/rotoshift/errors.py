@@ -1,4 +1,5 @@
-"""Exception types shared across the library and the CLI."""
+"""Exception types shared across the library and the CLI, and the context
+that turns a float escape from double precision into one of them."""
 
 
 class RotoshiftError(Exception):
@@ -31,3 +32,20 @@ class UnphysicalTransitionError(RotoshiftError):
 
 class PerturbativeRegimeWarning(UserWarning):
     """Predicted splitting is large enough that first-order theory degrades."""
+
+
+class double_precision:
+    """Context that raises a float overflow or division by zero inside it as
+    OutOfRegimeError naming quantity, with the original message."""
+
+    def __init__(self, quantity: str):
+        self.quantity = quantity
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError)):
+            raise OutOfRegimeError(
+                f"{self.quantity} leaves the double-precision range ({exc})") from exc
+        return False

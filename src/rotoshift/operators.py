@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import factorial, sqrt
+from operator import lt
 from typing import Tuple
 
 import numpy as np
@@ -31,10 +33,10 @@ from .rotor import RESONANCE_TOLERANCE, CrossedFields, Harmonic, RotorConfig
 class TruncatedBasis:
     """Ordered, labeled basis of a finite model subspace.
 
-    kind is "HO3D" (Cartesian occupation triples (n_x, n_y, n_z)) or
-    "HydrogenManifold" (fixed-n hydrogenic labels (n, l, m_l)).  Labels are
-    unique and sorted lexicographically; that order fixes matrix layout and
-    all tie-breaking downstream.
+    kind is "HO3D" (Cartesian occupation triples (n_x, n_y, n_z) of
+    nonnegative integers) or "HydrogenManifold" (fixed-n hydrogenic labels
+    (n, l, m_l)).  Labels are unique and sorted lexicographically; that
+    order fixes matrix layout and all tie-breaking downstream.
     """
 
     kind: str
@@ -43,7 +45,14 @@ class TruncatedBasis:
     def __post_init__(self):
         if self.kind not in ("HO3D", "HydrogenManifold"):
             raise ValidationError(f"unknown basis kind {self.kind!r}")
-        if list(self.labels) != sorted(set(self.labels)):
+        # both checks map builtins over the labels, so they run in C
+        if self.kind == "HO3D":
+            flat = list(chain.from_iterable(self.labels))
+            if not (set(map(type, self.labels)) <= {tuple} and set(map(len, self.labels)) <= {3}
+                    and set(map(type, flat)) <= {int} and min(flat, default=0) >= 0):
+                raise ValidationError("HO3D labels must be triples of nonnegative integers")
+        # strictly increasing means unique and sorted
+        if not all(map(lt, self.labels, self.labels[1:])):
             raise ValidationError("basis labels must be unique and lexicographically sorted")
 
     @property

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import CODATA2018, atomic_velocity
 from .errors import (PerturbativeRegimeWarning, RotoshiftError,
-                     StateNotFoundError, ValidationError)
+                     StateNotFoundError, ValidationError, double_precision)
 from .operators import HermitianOperator, TruncatedBasis
 from .rotor import Coulomb, CrossedFields, Harmonic, RotorConfig
 
@@ -71,7 +71,8 @@ def eigen_spectrum(operator) -> SpectrumResult:
     indicates a broken input.
     """
     if not isinstance(operator, HermitianOperator):
-        basis = TruncatedBasis(kind="HO3D", labels=tuple((i,) for i in range(len(operator))))
+        # a raw matrix is indexed by placeholder occupation labels (i, 0, 0)
+        basis = TruncatedBasis(kind="HO3D", labels=tuple((i, 0, 0) for i in range(len(operator))))
         operator = HermitianOperator.from_matrix(basis, operator)
     solved = [(block,) + tuple(np.linalg.eigh(block)) for _, block in operator.blocks]
     vals = np.sort(np.concatenate([np.zeros(0)] + [v for _, v, _ in solved]))
@@ -116,8 +117,9 @@ def ho_rotating_levels(N: int, m_z: int, rotor: RotorConfig) -> float:
         raise ValidationError("m_z must be an integer with |m_z| <= N")
     w0 = model.omega0
     h = CODATA2018.hbar
-    depression = (CODATA2018.electron_mass * w0 ** 2 * rotor.v_c ** 2
-                  / (2.0 * (w0 ** 2 - rotor.Omega ** 2)))
+    with double_precision("trap depression"):
+        depression = (CODATA2018.electron_mass * w0 ** 2 * rotor.v_c ** 2
+                      / (2.0 * (w0 ** 2 - rotor.Omega ** 2)))
     return h * w0 * (N + 1.5) - h * rotor.Omega * m_z - depression
 
 
@@ -171,18 +173,19 @@ def _fan_rate(n: int, omega_L: float, force: float, Z: int) -> Tuple[float, floa
     return copysign(hypot(omega_L, omega_S), omega_L), omega_S
 
 
-def _fan_level(n: int, m_z: int, omega_L: float, force: float, Z: int) -> float:
-    # E_n - hbar m_z Omega_fan; warns, at the caller of the public function,
-    # when the fan's full spread exceeds 1% of the gap to the next shell
+def _fan_level(n: int, m_z: int, omega_L: float, force: float, Z: int,
+               stacklevel: int = 3) -> Tuple[float, float]:
+    # (E_n - hbar m_z Omega_fan, omega_S); warns, at the public function's caller
+    # stacklevel frames up, when the fan spreads over 1% of the next shell gap
     _check_shell_numbers(n, m_z)
-    fan = _fan_rate(n, omega_L, force, Z)[0]
+    fan, omega_S = _fan_rate(n, omega_L, force, Z)
     level = _bohr_level(n, Z)
     gap = abs(_bohr_level(n + 1, Z) - level)
     if 2.0 * (n - 1) * CODATA2018.hbar * abs(fan) > 0.01 * gap:
         warnings.warn("splitting exceeds 1% of the shell gap; first-order "
                       "levels are no longer reliable", PerturbativeRegimeWarning,
-                      stacklevel=3)
-    return level - CODATA2018.hbar * fan * m_z
+                      stacklevel=stacklevel)
+    return level - CODATA2018.hbar * fan * m_z, omega_S
 
 
 def crossed_field_levels(n: int, m_z: int, fields: CrossedFields, Z: int = 1) -> float:
@@ -196,7 +199,7 @@ def crossed_field_levels(n: int, m_z: int, fields: CrossedFields, Z: int = 1) ->
     """
     e = CODATA2018.elementary_charge
     omega_L = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
-    return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z)
+    return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z)[0]
 
 
 def _require_coulomb(rotor: RotorConfig) -> Coulomb:
@@ -235,7 +238,7 @@ def rotating_coulomb_levels(n: int, m_z: int, rotor: RotorConfig) -> float:
     leaves the pure rotational splitting -hbar Omega m_z.
     """
     force, Z = _turntable_force(rotor, None)
-    return _fan_level(n, m_z, rotor.Omega, force, Z)
+    return _fan_level(n, m_z, rotor.Omega, force, Z)[0]
 
 
 def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E) -> float:
@@ -260,7 +263,7 @@ def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig, drive_E) -> flo
     goes to zero under a drive, the fan tends to the Stark fan.
     """
     force, Z = _turntable_force(rotor, drive_E)
-    return _fan_level(n, m_z, rotor.Omega, force, Z)
+    return _fan_level(n, m_z, rotor.Omega, force, Z)[0]
 
 
 def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig) -> SpectrumResult:

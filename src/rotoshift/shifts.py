@@ -18,10 +18,10 @@ import numpy as np
 
 from .constants import CODATA2018, atomic_velocity
 from .errors import (OutOfRegimeError, UnphysicalTransitionError,
-                     ValidationError)
+                     ValidationError, double_precision)
 # driven_splitting_parameter stays importable here for perfbench/spans.py
-from .quasienergy import (SpectrumResult, _fan_rate, _turntable_force,
-                          driven_splitting_parameter,
+from .quasienergy import (SpectrumResult, _fan_level, _turntable_force,
+                          driven_splitting_parameter, ho_rotating_levels,
                           splitting_expansion_parameter)
 from .rotor import Coulomb, Harmonic, RotorConfig
 
@@ -71,7 +71,13 @@ class Transition:
 
 @dataclass(frozen=True)
 class ShiftReport:
-    """Full account of one transition's rotational frequency shift (rad/s)."""
+    """Full account of one transition's rotational frequency shift (rad/s).
+
+    quasi_energies holds the (upper, lower) rotating levels in J, whose
+    difference over hbar plus Omega M is the emitted line, and
+    splitting_factors the fan rate over the rotation rate, hypot(1, x), of
+    each level (exactly one for the harmonic trap).
+    """
 
     transition: Transition
     omega_rest: float
@@ -79,6 +85,8 @@ class ShiftReport:
     drfs: float
     kinematic_part: float
     dynamic_part: float
+    quasi_energies: Tuple[float, float]
+    splitting_factors: Tuple[float, float]
     ratios: dict = field(default_factory=dict)
 
 
@@ -163,19 +171,23 @@ def _turntable_report(t: Transition, rotor: RotorConfig, drive_E) -> ShiftReport
     _check_transition_labels(t)
     (n, m_z), (n_prime, m_zp) = t.upper, t.lower
     Omega = rotor.Omega
-
-    def excess(q: int) -> float:
+    levels, excess, factors = [], [], []
+    for q, m in (t.upper, t.lower):
+        # one fan rate per shell; the warning names the public function's caller
+        level, s = _fan_level(q, m, Omega, force, Z, stacklevel=4)
+        levels.append(level)
         # Omega_fan - Omega, stable for small omega_S, finite with the level
-        s = _fan_rate(q, Omega, force, Z)[1]
-        return copysign(s * (s / (hypot(Omega, s) + abs(Omega))) if s else 0.0, Omega)
+        excess.append(copysign(s * (s / (hypot(Omega, s) + abs(Omega))) if s else 0.0, Omega))
+        factors.append(hypot(1.0, s / abs(Omega) if s else 0.0))
 
-    dynamic = m_zp * excess(n_prime) - m_z * excess(n)
+    dynamic = m_zp * excess[1] - m_z * excess[0]
     kinematic = Omega * (t.effective_M() - (m_z - m_zp))
     drfs = kinematic + dynamic
     omega_rest = _rest_frequency_coulomb(t, Z)
     return ShiftReport(transition=t, omega_rest=omega_rest,
                        omega_rotating=omega_rest + drfs, drfs=drfs,
                        kinematic_part=kinematic, dynamic_part=dynamic,
+                       quasi_energies=tuple(levels), splitting_factors=tuple(factors),
                        ratios={})
 
 
@@ -218,10 +230,12 @@ def harmonic_shift_report(t: Transition, rotor: RotorConfig) -> ShiftReport:
     (N, m_z), (N_prime, m_zp) = t.upper, t.lower
     if N < 0 or N_prime < 0 or abs(m_z) > N or abs(m_zp) > N_prime:
         raise ValidationError("harmonic levels need N >= 0 and |m_z| <= N")
+    levels = (ho_rotating_levels(N, m_z, rotor), ho_rotating_levels(N_prime, m_zp, rotor))
     omega_rest = rotor.model.omega0 * (N - N_prime)
     kinematic = rotor.Omega * (t.effective_M() - (m_z - m_zp))
     drfs = kinematic + 0.0
     ratios = {}
+    # the levels above already squared v_c, so this cannot overflow
     scale = omega_rest * rotor.v_c ** 2 / (2.0 * CODATA2018.light_speed ** 2)
     if scale > 0:
         # v_c**2 can underflow to zero even when v_c is not
@@ -229,6 +243,7 @@ def harmonic_shift_report(t: Transition, rotor: RotorConfig) -> ShiftReport:
     return ShiftReport(transition=t, omega_rest=omega_rest,
                        omega_rotating=omega_rest + drfs, drfs=drfs,
                        kinematic_part=kinematic, dynamic_part=0.0,
+                       quasi_energies=levels, splitting_factors=(1.0, 1.0),
                        ratios=ratios)
 
 
@@ -289,7 +304,8 @@ def force_ratio(rotor: RotorConfig, drive_E: float) -> float:
         raise ValidationError("drive field must be positive")
     m = CODATA2018.electron_mass
     e = CODATA2018.elementary_charge
-    return m * rotor.Omega ** 2 * rotor.R / (e * drive_E)
+    with double_precision("force ratio"):
+        return m * rotor.Omega ** 2 * rotor.R / (e * drive_E)
 
 
 #: Rounded engineering coefficient for force_ratio_engineering; the exact

@@ -188,6 +188,7 @@ def test_criterion_4_force_ratio():
     assert ok
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_criterion_5_scaling_laws():
     # |shift| grows as Omega^3 at fixed R (log-log slope 3.00 +- 0.05), the
     # series term grows as R^2 to 1e-10, and the series-vs-exact residual

@@ -13,7 +13,7 @@ import pytest
 
 import rotoshift
 from rotoshift import CODATA2018, Coulomb, RotorConfig, Transition, drfs_exact
-from rotoshift import cli
+from rotoshift import cli, quasienergy
 from rotoshift.cli import REPORT_COLUMNS, main
 
 C = CODATA2018
@@ -78,6 +78,27 @@ def test_drfs_coulomb_stdout(tmp_path, capsys):
     assert alt == pytest.approx(4 * pi ** 2 * series, rel=1e-10)
     # no drive configured, so the force-ratio cell is empty
     assert cell(header, rows[0], "force_ratio") == ""
+
+
+@pytest.mark.parametrize("drive,most", [(None, 6), ({"E_V_per_m": 1e3}, 2)],
+                         ids=["undriven", "driven"])
+def test_shift_row_takes_each_fan_rate_from_the_report(tmp_path, monkeypatch,
+                                                       drive, most):
+    # one fan rate per shell in the report; the undriven row adds the two
+    # drfs_series window checks, two shells each, and nothing else
+    calls = []
+    fan_rate = quasienergy._fan_rate
+
+    def counted(*args):
+        calls.append(args[0])
+        return fan_rate(*args)
+    monkeypatch.setattr(quasienergy, "_fan_rate", counted)
+    config = coulomb_drfs_config(**({} if drive is None else {"drive": drive}))
+    out = tmp_path / "out.csv"
+    assert main(["drfs", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    header, rows = parse_csv(out.read_text())
+    assert (cell(header, rows[0], "drfs_series_rad_s") != "") == (drive is None)
+    assert len(calls) <= most
 
 
 def test_drfs_harmonic_all_shift_cells_zero(tmp_path, capsys):
@@ -532,6 +553,8 @@ def test_level_labels_checked_naming_field(tmp_path, capsys, monkeypatch, model,
                                            command, upper, lower, field):
     def no_rows(*args):
         raise AssertionError("a row was built")
+    # shift rows (drfs, sweep) and compare-stark rows
+    monkeypatch.setattr(cli, "_transition_row", no_rows)
     monkeypatch.setattr(cli, "driven_rotating_levels", no_rows)
     config = sweep_config(str(tmp_path / "out.csv"))
     if model == "harmonic":

@@ -71,6 +71,12 @@ def test_basis_rejects_unsorted_labels():
         TruncatedBasis(kind="HO3D", labels=((1, 0, 0), (0, 0, 0)))
     with pytest.raises(ValidationError):
         TruncatedBasis(kind="other", labels=((0, 0, 0),))
+    # oscillator labels are triples of nonnegative integers: a 1-tuple used
+    # to reach ho_rotating_hamiltonian as an IndexError, and a negative
+    # occupation gave an unphysical level of 0.5 hbar omega0
+    for labels in (((0,), (1,)), ((-1, 0, 0), (0, 0, 0)), ((0, 0, 0.5),)):
+        with pytest.raises(ValidationError, match="triples"):
+            TruncatedBasis(kind="HO3D", labels=labels)
 
 
 @pytest.mark.parametrize("n,dim", [(1, 1), (2, 4), (5, 25)])

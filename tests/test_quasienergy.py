@@ -22,7 +22,8 @@ from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        ho_rotating_hamiltonian, ho_rotating_levels,
                        ho_rotating_spectrum, ho_shell_multiplicity,
                        manifold_perturbation, rotating_coulomb_levels,
-                       rotating_coulomb_spectrum, splitting_expansion_parameter)
+                       rotating_coulomb_spectrum, splitting_expansion_parameter,
+                       Transition, drfs_exact, driven_shift_report)
 
 C = CODATA2018
 
@@ -343,11 +344,18 @@ def test_perturbative_warning_points_at_the_caller():
     # the default warning filter deduplicates by location, so the warning
     # must name the calling line, not a line inside the library
     rotor = coulomb_rotor(5e13, 1e-9)
+    # only the upper level warns: shell 1 has no fan
+    t = Transition(upper=(5, 4), lower=(1, 0))
+    drive = drive_field_vector(rotor, 1e3)
     with pytest.warns(PerturbativeRegimeWarning) as undriven:
         rotating_coulomb_levels(5, 4, rotor)
     with pytest.warns(PerturbativeRegimeWarning) as driven:
         driven_rotating_levels(5, 4, rotor, None)
-    for record in (undriven, driven):
+    with pytest.warns(PerturbativeRegimeWarning) as exact:
+        drfs_exact(t, rotor)
+    with pytest.warns(PerturbativeRegimeWarning) as report:
+        driven_shift_report(t, rotor, drive)
+    for record in (undriven, driven, exact, report):
         assert [r.filename for r in record] == [__file__]
 
 

@@ -1,6 +1,6 @@
 """Frequency-shift bookkeeping: Doppler guards, DRFS decomposition, scaling."""
 
-from math import pi, sqrt
+from math import hypot, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,10 +10,12 @@ from rotoshift import (ALT_SERIES_COEFFICIENT, CODATA2018, Coulomb, Harmonic,
                        StateNotFoundError,
                        Transition, UnphysicalTransitionError, ValidationError,
                        atomic_velocity, doppler_frequency, drfs_exact,
-                       drfs_series, drive_field_vector, driven_shift_report,
+                       drfs_series, drive_field_vector, driven_rotating_levels,
+                       driven_shift_report, driven_splitting_parameter,
                        emitted_frequency, force_ratio,
                        force_ratio_engineering, harmonic_shift_report,
-                       ho_rotating_spectrum, rotating_coulomb_spectrum,
+                       ho_rotating_levels, ho_rotating_spectrum,
+                       rotating_coulomb_levels, rotating_coulomb_spectrum,
                        rotational_kinematic_shift, self_consistent_doppler,
                        splitting_expansion_parameter,
                        transverse_doppler_ratio, velocity_ratio_squared)
@@ -156,6 +158,7 @@ def test_drfs_vanishes_at_rest():
     assert rep.omega_rotating == rep.omega_rest
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_drfs_vanishes_for_axial_states():
     t = Transition(upper=(3, 0), lower=(2, 0))
     rep = drfs_exact(t, coulomb_rotor(1e13, 1e-9))
@@ -163,6 +166,7 @@ def test_drfs_vanishes_for_axial_states():
     assert rep.kinematic_part == 0.0 and rep.dynamic_part == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_drfs_decomposition_is_exact():
     t = Transition(upper=(4, 3), lower=(2, -1), M=2)
     rep = drfs_exact(t, coulomb_rotor(3e12, 2e-10))
@@ -183,6 +187,7 @@ def test_drfs_antisymmetries():
     assert drfs_exact(mirror, coulomb_rotor(-2e12, 3e-10)).drfs == plus
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_drfs_magnitude_anchor():
     # n=3, m=2 -> n'=2, m'=1 at Omega=1e13/s, R=1e-10 m: the quadratic-order
     # estimate (9/8)(n'^2 m' - n^2 m) Omega (v_c/v_a)^2 lands within 0.1%
@@ -217,6 +222,7 @@ def test_drfs_validation():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_series_matches_exact_in_window():
     t = Transition(upper=(3, 2), lower=(2, 1))
     for Omega in (1e11, 1e12, 1e13):
@@ -227,6 +233,7 @@ def test_series_matches_exact_in_window():
         assert series == pytest.approx(exact, rel=10 * x * x + 1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_series_residual_fourth_order_bound():
     # |series - exact| <= Omega (|m| x_n^4 + |m'| x_n'^4) / 8, from the
     # alternating Taylor remainder of sqrt(1+x^2)
@@ -298,6 +305,7 @@ def test_ratio_independent_of_radius():
     assert num[0] == pytest.approx(num[1], rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_ratio_anchor_magnitude():
     # ratio ~ -2e3 for the n=3 -> n=2 line at Omega = 1e13/s: the dynamic
     # shift beats the transverse Doppler scale by three orders
@@ -336,6 +344,9 @@ def test_force_ratio_edge_cases():
         force_ratio(coulomb_rotor(1e9, 5e-11), 0.0)
     with pytest.raises(ValidationError):
         force_ratio_engineering(coulomb_rotor(1e9, 5e-11), -1.0)
+    # e E underflows to zero: out of double precision, not a raw ZeroDivisionError
+    with pytest.raises(OutOfRegimeError, match=r"^force ratio .*\(float division by zero\)"):
+        force_ratio(coulomb_rotor(1e9, 5e-11), 1e-320)
 
 
 def test_velocity_ratio_anchors():
@@ -362,6 +373,13 @@ def test_harmonic_report_null_shift():
     assert rep.dynamic_part == 0.0
     assert rep.omega_rotating == rep.omega_rest == 1e13
     assert rep.ratios["transverse_doppler"] == 0.0
+    # the report carries the closed-form levels, and each factor is one
+    assert rep.quasi_energies == (ho_rotating_levels(2, 1, rotor),
+                                  ho_rotating_levels(1, 0, rotor))
+    assert rep.splitting_factors == (1.0, 1.0)
+    upper, lower = rep.quasi_energies
+    line = (upper - lower) / C.hbar + rotor.Omega * t.effective_M()
+    assert line == pytest.approx(rep.omega_rotating, rel=1e-12)
 
 
 def test_harmonic_report_underflowing_speed_leaves_ratio_out():
@@ -372,6 +390,17 @@ def test_harmonic_report_underflowing_speed_leaves_ratio_out():
     rep = harmonic_shift_report(Transition(upper=(2, 1), lower=(1, 0)), rotor)
     assert rep.drfs == 0.0
     assert "transverse_doppler" not in rep.ratios
+
+
+def test_harmonic_speed_squared_past_the_float_range():
+    # v_c = 1e202 m/s: its square leaves double precision, and the library
+    # says which quantity did, keeping the float error's own text
+    rotor = RotorConfig(Omega=1e12, R=1e190, model=Harmonic(omega0=1e13))
+    t = Transition(upper=(2, 1), lower=(1, 0))
+    for call in (lambda: ho_rotating_levels(2, 1, rotor),
+                 lambda: harmonic_shift_report(t, rotor)):
+        with pytest.raises(OutOfRegimeError, match=r"^trap depression .*out of range"):
+            call()
 
 
 def test_harmonic_report_kinematic_override():
@@ -401,3 +430,26 @@ def test_driven_report_reduces_and_cancels():
     # a strong parallel drive makes the dynamic part much larger
     boosted = driven_shift_report(t, rotor, drive_field_vector(rotor, 3e4))
     assert abs(boosted.dynamic_part) > 1e5 * abs(undriven.dynamic_part)
+
+
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
+@pytest.mark.parametrize("Omega", [3e12, -3e12])
+def test_report_carries_its_levels_and_splitting_factors(Omega):
+    # bit for bit the level functions and hypot(1, x), and the emitted line
+    # is their difference over hbar plus Omega M
+    rotor = coulomb_rotor(Omega, 2e-10)
+    t = Transition(upper=(4, 3), lower=(2, -1), M=2)
+    shells = (t.upper, t.lower)
+    undriven = drfs_exact(t, rotor)
+    assert undriven.quasi_energies == tuple(rotating_coulomb_levels(q, m, rotor)
+                                            for q, m in shells)
+    for drive in (None, drive_field_vector(rotor, 3e4),
+                  drive_field_vector(rotor, 50.0, antiparallel=True)):
+        rep = undriven if drive is None else driven_shift_report(t, rotor, drive)
+        assert rep.quasi_energies == tuple(driven_rotating_levels(q, m, rotor, drive)
+                                           for q, m in shells)
+        assert rep.splitting_factors == tuple(
+            hypot(1.0, driven_splitting_parameter(q, rotor, drive)) for q, _ in shells)
+        upper, lower = rep.quasi_energies
+        line = (upper - lower) / C.hbar + Omega * t.effective_M()
+        assert line == pytest.approx(rep.omega_rotating, rel=1e-12)
