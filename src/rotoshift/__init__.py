@@ -14,7 +14,7 @@ from .errors import (OutOfRegimeError, PerturbativeRegimeWarning,
                      StateNotFoundError, UnphysicalTransitionError,
                      ValidationError)
 from .operators import (HermitianOperator, TruncatedBasis, build_ho_basis,
-                        displacement_parameters, ho_lz_matrix,
+                        ho_lz_matrix,
                         ho_rotating_hamiltonian, hydrogen_manifold_basis,
                         manifold_perturbation, manifold_position_matrices,
                         radial_dipole_integral)
@@ -31,7 +31,7 @@ from .shifts import (ALT_SERIES_COEFFICIENT, SERIES_COEFFICIENT, ShiftReport,
                      Transition, doppler_frequency, drfs_exact, drfs_series,
                      driven_shift_report, emitted_frequency, force_ratio,
                      force_ratio_engineering, harmonic_shift_report,
-                     rotational_kinematic_shift, self_consistent_doppler,
+                     self_consistent_doppler,
                      transverse_doppler_ratio, velocity_ratio_squared)
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "SelectionRuleError", "ShiftReport", "SpectrumResult",
     "StateNotFoundError", "Transition", "TruncatedBasis",
     "UnphysicalTransitionError", "ValidationError", "atomic_velocity",
-    "build_ho_basis", "crossed_field_levels", "displacement_parameters", "doppler_frequency",
+    "build_ho_basis", "crossed_field_levels", "doppler_frequency",
     "drfs_exact", "drfs_series", "drive_field_vector",
     "driven_rotating_levels", "driven_shift_report",
     "driven_splitting_parameter", "eigen_spectrum", "emitted_frequency",
@@ -54,7 +54,7 @@ __all__ = [
     "ho_shell_multiplicity", "hydrogen_manifold_basis",
     "manifold_perturbation", "manifold_position_matrices",
     "radial_dipole_integral", "rotating_coulomb_levels",
-    "rotating_coulomb_spectrum", "rotational_kinematic_shift",
+    "rotating_coulomb_spectrum",
     "self_consistent_doppler", "splitting_expansion_parameter",
     "transverse_doppler_ratio", "velocity_ratio_squared",
 ]

@@ -41,8 +41,8 @@ from .quasienergy import (driven_splitting_parameter, eigen_spectrum,
                           ho_rotating_spectrum, rotating_coulomb_levels,
                           rotating_coulomb_spectrum,
                           splitting_expansion_parameter)
-from .rotor import (Coulomb, CrossedFields, Harmonic, RotorConfig,
-                    drive_field_vector, fictitious_fields)
+from .rotor import (Coulomb, Harmonic, RotorConfig, drive_field_vector,
+                    fictitious_fields)
 from .shifts import (ALT_SERIES_COEFFICIENT, Transition, doppler_frequency,
                      drfs_exact, drfs_series, driven_shift_report,
                      force_ratio, force_ratio_engineering,
@@ -113,6 +113,21 @@ def _check_keys(block: dict, allowed: set, where: str, problems: list):
             problems.append(f"{where}.{key}: unknown field")
 
 
+def _block(raw: dict, name: str, allowed: set, problems: list, required: str = None):
+    """The named config block after its key check, or None when it is not an
+    object; `required` is the diagnostic for a missing block that the command
+    needs, and a present non-object is rejected whatever the command."""
+    block = raw.get(name)
+    if isinstance(block, dict):
+        _check_keys(block, allowed, name, problems)
+        return block
+    if block is not None:
+        problems.append(f"{name}: must be an object")
+    elif required:
+        problems.append(f"{name}: {required}")
+    return None
+
+
 def _vector3(value, where: str, problems: list):
     if (not isinstance(value, list) or len(value) != 3
             or not all(_is_number(v) for v in value)):
@@ -142,52 +157,47 @@ def validate_config(raw: dict, command: str) -> dict:
     elif model is not None and model not in ("harmonic", "coulomb"):
         problems.append("model: must be 'harmonic' or 'coulomb'")
 
-    rotor = raw.get("rotor")
-    if needs_model:
-        if not isinstance(rotor, dict):
-            problems.append("rotor: block is required")
-        else:
-            _check_keys(rotor, _ROTOR_KEYS, "rotor", problems)
-            has_omega = "omega_rad_s" in rotor
-            has_cycles = "omega_over_2pi_hz" in rotor
-            if has_cycles and command != "compare-stark":
-                problems.append("rotor.omega_over_2pi_hz: only accepted by compare-stark")
-            if has_omega == has_cycles:
-                problems.append("rotor: exactly one of omega_rad_s / "
-                                "omega_over_2pi_hz is required")
-            for key, rad_per_unit in (("omega_rad_s", 1.0), ("omega_over_2pi_hz", 2.0 * math.pi)):
-                if key not in rotor:
-                    continue
-                if not _is_number(rotor[key]):
-                    problems.append(f"rotor.{key}: must be a number")
-                else:
-                    _check_rate(abs(rotor[key]) * rad_per_unit, f"rotor.{key}", problems)
-            if not _is_number(rotor.get("radius_m")) or rotor.get("radius_m", -1) < 0:
-                problems.append("rotor.radius_m: must be a nonnegative number")
-            if model == "harmonic":
-                if not _is_number(rotor.get("omega0_rad_s")) or rotor.get("omega0_rad_s", 0) <= 0:
-                    problems.append("rotor.omega0_rad_s: required positive number "
-                                    "for the harmonic model")
-                elif rotor["omega0_rad_s"] * CODATA2018.hbar < sys.float_info.min:
-                    problems.append("rotor.omega0_rad_s: the trap quantum hbar omega0 "
-                                    "underflows double precision")
-                else:
-                    _check_rate(rotor["omega0_rad_s"], "rotor.omega0_rad_s", problems)
-                if "Z" in rotor:
-                    problems.append("rotor.Z: not a harmonic-model parameter")
-            if model == "coulomb":
-                if "omega0_rad_s" in rotor:
-                    problems.append("rotor.omega0_rad_s: not a coulomb-model parameter")
-                if "Z" in rotor and (not _is_int(rotor["Z"]) or rotor["Z"] < 1):
-                    problems.append("rotor.Z: must be an integer >= 1")
+    rotor = _block(raw, "rotor", _ROTOR_KEYS, problems,
+                   "block is required" if needs_model else None)
+    if rotor is not None:
+        has_omega = "omega_rad_s" in rotor
+        has_cycles = "omega_over_2pi_hz" in rotor
+        if has_cycles and command != "compare-stark":
+            problems.append("rotor.omega_over_2pi_hz: only accepted by compare-stark")
+        if has_omega == has_cycles:
+            problems.append("rotor: exactly one of omega_rad_s / "
+                            "omega_over_2pi_hz is required")
+        for key, rad_per_unit in (("omega_rad_s", 1.0), ("omega_over_2pi_hz", 2.0 * math.pi)):
+            if key not in rotor:
+                continue
+            if not _is_number(rotor[key]):
+                problems.append(f"rotor.{key}: must be a number")
+            else:
+                _check_rate(abs(rotor[key]) * rad_per_unit, f"rotor.{key}", problems)
+        if not _is_number(rotor.get("radius_m")) or rotor.get("radius_m", -1) < 0:
+            problems.append("rotor.radius_m: must be a nonnegative number")
+        if model == "harmonic":
+            if not _is_number(rotor.get("omega0_rad_s")) or rotor.get("omega0_rad_s", 0) <= 0:
+                problems.append("rotor.omega0_rad_s: required positive number "
+                                "for the harmonic model")
+            elif rotor["omega0_rad_s"] * CODATA2018.hbar < sys.float_info.min:
+                problems.append("rotor.omega0_rad_s: the trap quantum hbar omega0 "
+                                "underflows double precision")
+            else:
+                _check_rate(rotor["omega0_rad_s"], "rotor.omega0_rad_s", problems)
+            if "Z" in rotor:
+                problems.append("rotor.Z: not a harmonic-model parameter")
+        if model == "coulomb":
+            if "omega0_rad_s" in rotor:
+                problems.append("rotor.omega0_rad_s: not a coulomb-model parameter")
+            if "Z" in rotor and (not _is_int(rotor["Z"]) or rotor["Z"] < 1):
+                problems.append("rotor.Z: must be an integer >= 1")
 
-    transition = raw.get("transition")
     needs_transition = command in ("drfs", "compare-stark", "sweep") or (
         command == "spectrum" and model == "coulomb")
-    if needs_transition and not isinstance(transition, dict):
-        problems.append("transition: block is required")
-    if isinstance(transition, dict):
-        _check_keys(transition, _TRANSITION_KEYS, "transition", problems)
+    transition = _block(raw, "transition", _TRANSITION_KEYS, problems,
+                        "block is required" if needs_transition else None)
+    if transition is not None:
         pairs_ok = True
         for name in ("upper", "lower"):
             pair = transition.get(name)
@@ -217,96 +227,86 @@ def validate_config(raw: dict, command: str) -> dict:
         if "M" in transition and not _is_int(transition["M"]):
             problems.append("transition.M: must be an integer")
 
-    drive = raw.get("drive")
-    if command == "compare-stark" and not isinstance(drive, dict):
-        problems.append("drive: block is required for compare-stark")
-    if isinstance(drive, dict):
-        _check_keys(drive, _DRIVE_KEYS, "drive", problems)
-        if not _is_number(drive.get("E_V_per_m")) or drive.get("E_V_per_m", -1) < 0:
+    drive = _block(raw, "drive", _DRIVE_KEYS, problems,
+                   "block is required for compare-stark" if command == "compare-stark" else None)
+    if drive is not None:
+        magnitude = drive.get("E_V_per_m")
+        if not _is_number(magnitude) or magnitude < 0:
             problems.append("drive.E_V_per_m: must be a nonnegative number")
         orientation = drive.get("orientation", "parallel")
         if orientation not in ("parallel", "antiparallel"):
             problems.append("drive.orientation: must be 'parallel' or 'antiparallel'")
         if model == "harmonic":
             problems.append("drive: only meaningful for the coulomb model")
-        if command == "spectrum" and _is_number(drive.get("E_V_per_m")) and drive["E_V_per_m"] > 0:
+        if command == "spectrum" and _is_number(magnitude) and magnitude > 0:
             # the spectrum table is the undriven one; a zero drive is that table
             problems.append("drive.E_V_per_m: spectrum tabulates the undriven levels "
                             "and takes no nonzero drive")
-    elif drive is not None:
-        problems.append("drive: must be an object")
+        if command == "compare-stark" and _is_number(magnitude) and magnitude == 0:
+            problems.append("drive.E_V_per_m: compare-stark needs a positive drive")
 
-    sweep = raw.get("sweep")
-    if command == "sweep":
-        if not isinstance(sweep, dict):
-            problems.append("sweep: block is required")
-        else:
-            _check_keys(sweep, _SWEEP_KEYS, "sweep", problems)
-            axis = sweep.get("axis")
-            if axis not in ("omega", "radius", "drive"):
-                problems.append("sweep.axis: must be 'omega', 'radius' or 'drive'")
-            scale = sweep.get("scale", "linear")
-            if scale not in ("linear", "log"):
-                problems.append("sweep.scale: must be 'linear' or 'log'")
-            lo, hi = sweep.get("from"), sweep.get("to")
-            if not (_is_number(lo) and _is_number(hi)):
-                problems.append("sweep.from/to: must be numbers")
-            elif lo == hi:
-                problems.append("sweep.from/to: degenerate range (from = to)")
-            elif scale == "log" and (lo <= 0 or hi <= 0):
-                problems.append("sweep.from/to: log scale needs positive endpoints")
-            elif axis in ("radius", "drive") and min(lo, hi) < 0:
-                problems.append(f"sweep.from/to: a {axis} sweep needs nonnegative endpoints")
-            elif axis == "omega":
-                _check_rate(max(abs(lo), abs(hi)), "sweep.from/to", problems)
-            points = sweep.get("points")
-            if not _is_int(points) or not 2 <= points <= _MAX_ROWS:
-                problems.append(f"sweep.points: must be an integer in [2, {_MAX_ROWS}]")
-            if axis == "drive":
-                if model != "coulomb":
-                    problems.append("sweep.axis=drive: requires the coulomb model")
-                if not isinstance(drive, dict):
-                    problems.append("drive: block is required for a drive sweep")
+    sweep = _block(raw, "sweep", _SWEEP_KEYS, problems,
+                   "block is required" if command == "sweep" else None)
+    if sweep is not None:
+        axis = sweep.get("axis")
+        if axis not in ("omega", "radius", "drive"):
+            problems.append("sweep.axis: must be 'omega', 'radius' or 'drive'")
+        scale = sweep.get("scale", "linear")
+        if scale not in ("linear", "log"):
+            problems.append("sweep.scale: must be 'linear' or 'log'")
+        lo, hi = sweep.get("from"), sweep.get("to")
+        if not (_is_number(lo) and _is_number(hi)):
+            problems.append("sweep.from/to: must be numbers")
+        elif lo == hi:
+            problems.append("sweep.from/to: degenerate range (from = to)")
+        elif scale == "log" and (lo <= 0 or hi <= 0):
+            problems.append("sweep.from/to: log scale needs positive endpoints")
+        elif axis in ("radius", "drive") and min(lo, hi) < 0:
+            problems.append(f"sweep.from/to: a {axis} sweep needs nonnegative endpoints")
+        elif axis == "omega":
+            _check_rate(max(abs(lo), abs(hi)), "sweep.from/to", problems)
+        points = sweep.get("points")
+        if not _is_int(points) or not 2 <= points <= _MAX_ROWS:
+            problems.append(f"sweep.points: must be an integer in [2, {_MAX_ROWS}]")
+        if axis == "drive":
+            if model != "coulomb":
+                problems.append("sweep.axis=drive: requires the coulomb model")
+            if drive is None:
+                problems.append("drive: block is required for a drive sweep")
 
-    output = raw.get("output")
-    if isinstance(output, dict):
-        _check_keys(output, _OUTPUT_KEYS, "output", problems)
+    output = _block(raw, "output", _OUTPUT_KEYS, problems)
+    if output is not None:
         if "format" in output and output["format"] not in ("csv", "json"):
             problems.append("output.format: must be 'csv' or 'json'")
         if "path" in output and not isinstance(output["path"], str):
             problems.append("output.path: must be a string")
-    elif output is not None:
-        problems.append("output: must be an object")
 
-    doppler = raw.get("doppler")
-    if command == "doppler":
-        if not isinstance(doppler, dict):
-            problems.append("doppler: block is required")
-        else:
-            _check_keys(doppler, _DOPPLER_KEYS, "doppler", problems)
-            if not _is_number(doppler.get("delta_E_J")) or doppler.get("delta_E_J", 0) <= 0:
-                problems.append("doppler.delta_E_J: must be a positive number")
-            _vector3(doppler.get("v_m_per_s"), "doppler.v_m_per_s", problems)
-            has_k = "k_per_m" in doppler
-            has_dir = "k_direction" in doppler
-            if has_k == has_dir:
-                problems.append("doppler: exactly one of k_per_m / k_direction is required")
-            if has_k:
-                _vector3(doppler["k_per_m"], "doppler.k_per_m", problems)
-            if has_dir:
-                k_hat = _vector3(doppler["k_direction"], "doppler.k_direction", problems)
-                # the direction is divided by its length, so the squared
-                # length must neither underflow to zero nor overflow
-                if k_hat is not None and not 0 < sum(c * c for c in k_hat) < math.inf:
-                    problems.append("doppler.k_direction: must be a nonzero vector "
-                                    "whose length double precision holds")
+    doppler = _block(raw, "doppler", _DOPPLER_KEYS, problems,
+                     "block is required" if command == "doppler" else None)
+    if doppler is not None:
+        if not _is_number(doppler.get("delta_E_J")) or doppler.get("delta_E_J", 0) <= 0:
+            problems.append("doppler.delta_E_J: must be a positive number")
+        _vector3(doppler.get("v_m_per_s"), "doppler.v_m_per_s", problems)
+        has_k = "k_per_m" in doppler
+        has_dir = "k_direction" in doppler
+        if has_k == has_dir:
+            problems.append("doppler: exactly one of k_per_m / k_direction is required")
+        if has_k:
+            _vector3(doppler["k_per_m"], "doppler.k_per_m", problems)
+        if has_dir:
+            k_hat = _vector3(doppler["k_direction"], "doppler.k_direction", problems)
+            # the direction is divided by its length, so the squared
+            # length must neither underflow to zero nor overflow
+            if k_hat is not None and not 0 < sum(c * c for c in k_hat) < math.inf:
+                problems.append("doppler.k_direction: must be a nonzero vector "
+                                "whose length double precision holds")
 
     if "basis_n_max" in raw:
         n_max = raw["basis_n_max"]
         if not _is_int(n_max) or not 0 <= n_max <= 20:
             problems.append("basis_n_max: must be an integer in [0, 20]")
 
-    if not problems and isinstance(drive, dict) and command in ("drfs", "sweep", "compare-stark"):
+    if not problems and drive is not None and command in ("drfs", "sweep", "compare-stark"):
         # a drive points along the orbit vector and is taken in the rotating
         # frame, so wherever it is nonzero it needs R > 0 and Omega != 0
         rates = [rotor.get("omega_rad_s", rotor.get("omega_over_2pi_hz"))] * 2
@@ -470,8 +470,6 @@ def _run_doppler(config: dict):
 def _run_compare_stark(config: dict):
     rotor = _build_rotor(config)
     magnitude = float(config["drive"]["E_V_per_m"])
-    if magnitude <= 0:
-        raise ValidationError("drive.E_V_per_m: compare-stark needs a positive drive")
     enhanced = drive_field_vector(rotor, magnitude, antiparallel=False)
     reduced = drive_field_vector(rotor, magnitude, antiparallel=True)
     fr = force_ratio(rotor, magnitude)

@@ -21,8 +21,8 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .constants import CODATA2018
-from .errors import ResonanceError, SelectionRuleError, ValidationError
-from .rotor import RESONANCE_TOLERANCE, CrossedFields, Harmonic, RotorConfig
+from .errors import SelectionRuleError, ValidationError
+from .rotor import CrossedFields, Harmonic, RotorConfig
 
 # ---------------------------------------------------------------------------
 # bases
@@ -58,9 +58,6 @@ class TruncatedBasis:
     @property
     def dimension(self) -> int:
         return len(self.labels)
-
-    def index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 def _coupled_blocks(H: np.ndarray) -> list:
@@ -253,26 +250,6 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
         basis, [(indices, _ho_lz(labels, hop)) for indices, labels, hop in _ho_sectors(basis)])
 
 
-def displacement_parameters(rotor: RotorConfig):
-    """Momentum and position offsets that make the rotating trap Hamiltonian static.
-
-    Returns (a, b): a = m omega0^2/(omega0^2 - Omega^2) Omega x R is the
-    momentum shift (kg m/s) and b = Omega^2/(omega0^2 - Omega^2) R the
-    position shift (m).  Both diverge at the trap resonance, which the
-    rotor configuration already guards against.
-    """
-    if not isinstance(rotor.model, Harmonic):
-        raise ValidationError("displacement parameters are defined for the Harmonic model")
-    omega0 = rotor.model.omega0
-    denom = omega0 ** 2 - rotor.Omega ** 2
-    if abs(denom) < RESONANCE_TOLERANCE * omega0 ** 2:
-        raise ResonanceError("rotation rate within the resonance guard band")
-    m = CODATA2018.electron_mass
-    a = (m * omega0 ** 2 / denom) * rotor.velocity_vec
-    b = (rotor.Omega ** 2 / denom) * rotor.radius_vec
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # hydrogen shell under crossed fields
 # ---------------------------------------------------------------------------
@@ -370,7 +347,7 @@ def manifold_position_matrices(n: int):
 def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> HermitianOperator:
     """First-order perturbation matrix of one hydrogen shell in crossed fields.
 
-    W = -e (E_pseudo + E_drive) . r - (e/2m) B L_z restricted to the n^2
+    W = -e E . r - (e/2m) B L_z restricted to the n^2
     degenerate states, in joules.  The magnetic part is diagonal in m_l; the
     Stark part mixes l by one through the dipole elements.  For n=1 the
     matrix is identically zero (no linear Stark shift, single m_l).
@@ -380,7 +357,7 @@ def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> Hermitia
     basis, X, Y, Zmat = manifold_position_matrices(n)
     e = CODATA2018.elementary_charge
     length = CODATA2018.bohr_radius / Z
-    Ex, Ey, Ez = (float(c) for c in fields.total_stark_field())
+    Ex, Ey, Ez = (float(c) for c in fields.pseudo_E)
     W = -e * length * (Ex * X + Ey * Y + Ez * Zmat)
     larmor = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
     diagonal = np.arange(basis.dimension)

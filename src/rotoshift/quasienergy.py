@@ -21,8 +21,6 @@ from .errors import (PerturbativeRegimeWarning, RotoshiftError,
 from .operators import HermitianOperator, TruncatedBasis
 from .rotor import Coulomb, CrossedFields, Harmonic, RotorConfig
 
-_METHODS = ("Diagonalization", "FirstOrderPT", "Analytic")
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -36,11 +34,8 @@ class SpectrumResult:
     """
 
     levels: Tuple[Tuple[tuple, float], ...]
-    method: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValidationError(f"unknown spectrum method {self.method!r}")
         for _, value in self.levels:
             if not np.isfinite(value):
                 raise ValidationError("every quasi-energy must be finite")
@@ -82,14 +77,14 @@ def eigen_spectrum(operator) -> SpectrumResult:
         if np.any(residual > 1e-10):
             raise RotoshiftError("eigensolver residual exceeds tolerance")
     levels = tuple(((i,), float(v)) for i, v in enumerate(vals))
-    return SpectrumResult(levels=levels, method="Diagonalization")
+    return SpectrumResult(levels=levels)
 
 
 def first_order_degenerate_levels(E0: float, W) -> SpectrumResult:
     """Levels E0 + eig(W) of a degenerate manifold under perturbation W."""
     inner = eigen_spectrum(W)
     levels = tuple((lab, E0 + val) for lab, val in inner.levels)
-    return SpectrumResult(levels=levels, method="FirstOrderPT")
+    return SpectrumResult(levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +140,7 @@ def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
         for m_z in range(-N, N + 1):
             value = ho_rotating_levels(N, m_z, rotor)
             levels.extend(((N, m_z), value) for _ in range(ho_shell_multiplicity(N, m_z)))
-    return SpectrumResult(levels=tuple(levels), method="Analytic")
+    return SpectrumResult(levels=tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -280,4 +275,4 @@ def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig) -> SpectrumResult:
         for m_z in range(-(n - 1), n):
             value = rotating_coulomb_levels(n, m_z, rotor)
             levels.extend(((n, m_z), value) for _ in range(n - abs(m_z)))
-    return SpectrumResult(levels=tuple(levels), method="Analytic")
+    return SpectrumResult(levels=tuple(levels))

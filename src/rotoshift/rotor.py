@@ -8,19 +8,24 @@ independent, which the test suite checks).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import hypot
-from typing import Optional, Union
+from math import hypot, sqrt
+from typing import Union
 
 import numpy as np
 
 from .constants import CODATA2018
-from .errors import ResonanceError, ValidationError
+from .errors import OutOfRegimeError, ResonanceError, ValidationError
 
 #: Minimum allowed |omega0^2 - Omega^2| as a fraction of omega0^2.  Closer to
 #: the trap resonance the displaced-frame construction has diverging
 #: denominators and no stationary rotating-frame spectrum to report.
 RESONANCE_TOLERANCE = 1e-6
+
+# Largest rotation or trap rate (rad/s) whose square double precision holds;
+# the level formulas square both, so a faster rate is rejected where it enters.
+_MAX_SQUARABLE_RATE = sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,8 @@ class Harmonic:
     def __post_init__(self):
         if not self.omega0 > 0:
             raise ValidationError("trap frequency omega0 must be positive")
+        if self.omega0 > _MAX_SQUARABLE_RATE:
+            raise OutOfRegimeError("trap frequency leaves the double-precision range when squared")
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,8 @@ class RotorConfig:
     def __post_init__(self):
         if not np.isfinite(self.Omega):
             raise ValidationError("rotation rate must be finite")
+        if abs(self.Omega) > _MAX_SQUARABLE_RATE:
+            raise OutOfRegimeError("rotation rate leaves the double-precision range when squared")
         if not (np.isfinite(self.R) and self.R >= 0):
             raise ValidationError("orbit radius must be finite and nonnegative")
         if isinstance(self.model, Harmonic):
@@ -73,17 +82,8 @@ class RotorConfig:
         return self.Omega * self.R
 
     @property
-    def omega_vec(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.Omega])
-
-    @property
     def radius_vec(self) -> np.ndarray:
         return np.array([0.0, -self.R, 0.0])
-
-    @property
-    def velocity_vec(self) -> np.ndarray:
-        # Omega x R with the fixed axes above: z x (-y) = +x
-        return np.array([self.Omega * self.R, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,17 @@ class CrossedFields:
     """Effective crossed fields acting on the bound electron.
 
     pseudo_E (V/m) is the centrifugal-equivalent electric field in the
-    orbital plane, pseudo_B (T) the Coriolis-equivalent magnetic field along
-    the rotation axis, and drive_E (V/m) an optional genuine electric field
-    added to the Stark part.
+    orbital plane, to which a genuine drive field is simply added, and
+    pseudo_B (T) the Coriolis-equivalent magnetic field along the rotation
+    axis.
     """
 
     pseudo_E: np.ndarray
     pseudo_B: np.ndarray
-    drive_E: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("pseudo_E", "pseudo_B", "drive_E"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=float)
+        for name in ("pseudo_E", "pseudo_B"):
+            v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValidationError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, v)
@@ -113,15 +109,9 @@ class CrossedFields:
         if planar > 1e-12 * max(1.0, float(np.abs(self.pseudo_B[2]))):
             raise ValidationError("pseudo-magnetic field must lie along the rotation axis")
 
-    def total_stark_field(self) -> np.ndarray:
-        """Vector sum of the pseudo-electric and drive fields."""
-        if self.drive_E is None:
-            return self.pseudo_E.copy()
-        return self.pseudo_E + self.drive_E
-
     def total_stark_magnitude(self) -> float:
         # hypot scales before squaring, so no finite field over- or underflows
-        return hypot(*self.total_stark_field())
+        return hypot(*self.pseudo_E)
 
 
 def fictitious_fields(rotor: RotorConfig) -> CrossedFields:

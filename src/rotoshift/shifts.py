@@ -127,11 +127,6 @@ def self_consistent_doppler(deltaE: float, v, k_direction) -> float:
     return rest / (1.0 - float(np.dot(v, k_hat)) / CODATA2018.light_speed)
 
 
-def rotational_kinematic_shift(Omega: float, M: int) -> float:
-    """Frequency offset Omega*M a photon of projection M picks up, rad/s."""
-    return Omega * M
-
-
 def emitted_frequency(levels: SpectrumResult, t: Transition, Omega: float) -> float:
     """Photon frequency from quasi-energy conservation, rad/s.
 
@@ -331,4 +326,5 @@ def velocity_ratio_squared(rotor: RotorConfig) -> float:
     if not isinstance(rotor.model, Coulomb):
         raise ValidationError("rotor model must be Coulomb")
     v_a = atomic_velocity(rotor.model.Z)
-    return (rotor.v_c / v_a) ** 2
+    with double_precision("velocity ratio"):
+        return (rotor.v_c / v_a) ** 2

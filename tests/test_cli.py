@@ -156,6 +156,29 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "rotor.radius_nm" in err and "unknown field" in err
 
 
+DOPPLER_BLOCK = {"delta_E_J": 1e-19, "v_m_per_s": [0.0, 0.0, 300.0], "k_per_m": [0.0, 0.0, 2e6]}
+
+
+@pytest.mark.parametrize("command,config,lines", [
+    ("doppler", {"doppler": DOPPLER_BLOCK, "rotor": {"bogus": 1}},
+     ["rotor.bogus: unknown field"]),
+    ("drfs", coulomb_drfs_config(sweep={"bogus": 1}), ["sweep.bogus: unknown field"]),
+    ("drfs", coulomb_drfs_config(doppler={"bogus": 1}), ["doppler.bogus: unknown field"]),
+    ("doppler", {"doppler": DOPPLER_BLOCK, "rotor": 5, "sweep": "x"},
+     ["rotor: must be an object", "sweep: must be an object"]),
+    # the positive-drive rule is one of validate_config's, so it is reported
+    # with the block's other problems
+    ("compare-stark", coulomb_drfs_config(drive={"E_V_per_m": 0.0, "bogus": 1}),
+     ["drive.bogus: unknown field", "drive.E_V_per_m: compare-stark needs a positive drive"]),
+], ids=["doppler-rotor-key", "drfs-sweep-key", "drfs-doppler-key", "doppler-non-objects",
+        "compare-stark-zero-drive"])
+def test_every_present_block_is_checked_whatever_the_command(tmp_path, capsys, command,
+                                                              config, lines):
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert all(f"error: {line}" in err for line in lines), err
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"model": "coulomb",\n  "rotor": }')

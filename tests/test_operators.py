@@ -16,7 +16,7 @@ from rotoshift import operators
 from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        HermitianOperator, ResonanceError, RotorConfig,
                        SelectionRuleError, TruncatedBasis, ValidationError,
-                       build_ho_basis, displacement_parameters,
+                       build_ho_basis,
                        fictitious_fields, ho_lz_matrix,
                        ho_rotating_hamiltonian, hydrogen_manifold_basis,
                        eigen_spectrum, manifold_perturbation,
@@ -196,7 +196,7 @@ def test_real_gauge_matches_ladder_matrices():
     rotor = harmonic_rotor(0.3, 0.05)
     wrel = rotor.Omega / OMEGA0
     vrel = rotor.v_c * sqrt(c.electron_mass / (c.hbar * OMEGA0))
-    index = basis.index()
+    index = {label: i for i, label in enumerate(basis.labels)}
     dim = basis.dimension
     L = np.zeros((dim, dim), dtype=complex)
     P = np.zeros((dim, dim), dtype=complex)
@@ -254,30 +254,6 @@ def test_hamiltonian_needs_matching_model_and_basis():
     rotor = RotorConfig(Omega=1e9, R=0.0, model=Coulomb())
     with pytest.raises(ValidationError):
         ho_rotating_hamiltonian(build_ho_basis(2), rotor)
-
-
-def test_displacement_parameters():
-    # omega0 = 2 Omega puts the denominator at 3 Omega^2
-    rotor = RotorConfig(Omega=OMEGA0 / 2, R=1e-10, model=Harmonic(omega0=OMEGA0))
-    a, b = displacement_parameters(rotor)
-    # b = Omega^2/(w0^2 - Omega^2) R = R/3 along the orbit vector
-    assert np.linalg.norm(b) == pytest.approx(rotor.R / 3.0, rel=1e-12)
-    assert b[1] == pytest.approx(-rotor.R / 3.0, rel=1e-12)
-    c = CODATA2018
-    want_a = c.electron_mass * OMEGA0 ** 2 / (OMEGA0 ** 2 - rotor.Omega ** 2) * rotor.v_c
-    assert a[0] == pytest.approx(want_a, rel=1e-12)
-    assert a[1] == a[2] == 0.0
-
-
-def test_displacement_vanishes_at_rest():
-    rotor = RotorConfig(Omega=0.0, R=1e-10, model=Harmonic(omega0=OMEGA0))
-    a, b = displacement_parameters(rotor)
-    assert np.all(a == 0.0) and np.all(b == 0.0)
-
-
-def test_displacement_needs_harmonic_model():
-    with pytest.raises(ValidationError):
-        displacement_parameters(RotorConfig(Omega=1e9, R=1e-10, model=Coulomb()))
 
 
 def test_resonant_rotor_rejected_at_construction():
@@ -459,5 +435,5 @@ def test_fictitious_fields_feed_perturbation():
     op = manifold_perturbation(2, fictitious_fields(rotor))
     c = CODATA2018
     # Larmor rate for e B/m = 2 Omega is just Omega itself
-    idx = op.basis.index()[(2, 1, 1)]
+    idx = {label: i for i, label in enumerate(op.basis.labels)}[(2, 1, 1)]
     assert op.matrix[idx, idx].real == pytest.approx(-c.hbar * rotor.Omega, rel=1e-12)

@@ -47,22 +47,18 @@ def lib_bohr(n):
 
 
 def test_spectrum_result_sorts_with_label_tiebreak():
-    s = SpectrumResult(levels=(((1,), 2.0), ((0,), 2.0), ((2,), 1.0)),
-                       method="Analytic")
+    s = SpectrumResult(levels=(((1,), 2.0), ((0,), 2.0), ((2,), 1.0)))
     assert [lab for lab, _ in s.levels] == [(2,), (0,), (1,)]
     assert np.all(np.diff(s.energies()) >= 0)
 
 
 def test_spectrum_result_validation():
     with pytest.raises(ValidationError):
-        SpectrumResult(levels=(((0,), float("nan")),), method="Analytic")
-    with pytest.raises(ValidationError):
-        SpectrumResult(levels=(), method="Guesswork")
+        SpectrumResult(levels=(((0,), float("nan")),))
 
 
 def test_quasi_energy_lookup():
-    s = SpectrumResult(levels=(((2, 1), 5.0), ((2, 1), 7.0), ((1, 0), 1.0)),
-                       method="Analytic")
+    s = SpectrumResult(levels=(((2, 1), 5.0), ((2, 1), 7.0), ((1, 0), 1.0)))
     assert s.quasi_energy((1, 0)) == 1.0
     # duplicate labels resolve to the lowest level
     assert s.quasi_energy((2, 1)) == 5.0
@@ -73,7 +69,6 @@ def test_quasi_energy_lookup():
 def test_eigen_spectrum_simple_matrices():
     s = eigen_spectrum(np.diag([3.0, -1.0, 2.0]).astype(complex))
     assert np.allclose(s.energies(), [-1.0, 2.0, 3.0])
-    assert s.method == "Diagonalization"
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     assert np.allclose(eigen_spectrum(flip).energies(), [-1.0, 1.0])
 
@@ -120,7 +115,6 @@ def test_first_order_levels_offset():
     W = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     s = first_order_degenerate_levels(-2.0, W)
     assert np.allclose(s.energies(), [-2.5, -1.5])
-    assert s.method == "FirstOrderPT"
     zero = first_order_degenerate_levels(1.25, np.zeros((3, 3), dtype=complex))
     assert np.all(zero.energies() == 1.25)
 

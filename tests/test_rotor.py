@@ -34,7 +34,7 @@ def test_rotor_validation():
 
 def test_velocity_is_exact_cross_product():
     r = coulomb_rotor(Omega=3.7e12, R=2e-10)
-    assert np.array_equal(np.cross(r.omega_vec, r.radius_vec), r.velocity_vec)
+    assert np.array_equal(np.cross([0.0, 0.0, r.Omega], r.radius_vec), [r.v_c, 0.0, 0.0])
     assert r.v_c == r.Omega * r.R
 
 
@@ -91,17 +91,9 @@ def test_crossed_fields_validation():
         CrossedFields(pseudo_E=np.zeros(3), pseudo_B=np.array([1e-3, 0.0, 1.0]))
     with pytest.raises(ValidationError):
         CrossedFields(pseudo_E=np.array([1.0, 2.0]), pseudo_B=np.zeros(3))
-    with pytest.raises(ValidationError):
-        CrossedFields(pseudo_E=np.zeros(3), pseudo_B=np.zeros(3),
-                      drive_E=np.array([np.inf, 0.0, 0.0]))
 
 
 def test_total_stark_field_sums_drive():
-    f = CrossedFields(pseudo_E=np.array([0.0, 2.0, 0.0]),
-                      pseudo_B=np.array([0.0, 0.0, 1.0]),
-                      drive_E=np.array([0.0, -0.5, 0.0]))
-    assert np.allclose(f.total_stark_field(), [0.0, 1.5, 0.0])
-    assert f.total_stark_magnitude() == pytest.approx(1.5)
     bare = CrossedFields(pseudo_E=np.array([0.0, 2.0, 0.0]),
                          pseudo_B=np.array([0.0, 0.0, 1.0]))
     assert bare.total_stark_magnitude() == pytest.approx(2.0)
@@ -132,8 +124,9 @@ def test_drive_cancels_pseudo_field():
     c = CODATA2018
     r = coulomb_rotor()
     star = c.electron_mass * r.Omega ** 2 * r.R / c.elementary_charge
-    f = CrossedFields(pseudo_E=fictitious_fields(r).pseudo_E,
-                      pseudo_B=fictitious_fields(r).pseudo_B,
-                      drive_E=drive_field_vector(r, star, antiparallel=True))
+    # a genuine drive is added to the pseudo-field
+    f = CrossedFields(pseudo_E=fictitious_fields(r).pseudo_E
+                      + drive_field_vector(r, star, antiparallel=True),
+                      pseudo_B=fictitious_fields(r).pseudo_B)
     residual = f.total_stark_magnitude()
     assert residual <= 1e-12 * star

@@ -16,7 +16,7 @@ from rotoshift import (ALT_SERIES_COEFFICIENT, CODATA2018, Coulomb, Harmonic,
                        force_ratio_engineering, harmonic_shift_report,
                        ho_rotating_levels, ho_rotating_spectrum,
                        rotating_coulomb_levels, rotating_coulomb_spectrum,
-                       rotational_kinematic_shift, self_consistent_doppler,
+                       self_consistent_doppler,
                        splitting_expansion_parameter,
                        transverse_doppler_ratio, velocity_ratio_squared)
 
@@ -96,13 +96,6 @@ def test_self_consistent_doppler_direction_scale_free():
     for length in (1e300, 1e-200):
         got = self_consistent_doppler(1e-19, v, [length, 0.0, 0.0])
         assert got == pytest.approx(unit, rel=1e-15)
-
-
-def test_kinematic_shift_values():
-    assert rotational_kinematic_shift(0.0, 3) == 0.0
-    assert rotational_kinematic_shift(2 * pi * 8e7, 1) == pytest.approx(5.0265e8,
-                                                                       rel=1e-4)
-    assert rotational_kinematic_shift(1e12, -2) == -2e12
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +393,18 @@ def test_harmonic_speed_squared_past_the_float_range():
     for call in (lambda: ho_rotating_levels(2, 1, rotor),
                  lambda: harmonic_shift_report(t, rotor)):
         with pytest.raises(OutOfRegimeError, match=r"^trap depression .*out of range"):
+            call()
+    # rates whose square, and a speed ratio whose square, leave double precision
+    for call, quantity in (
+            (lambda: RotorConfig(Omega=1e200, R=0.0, model=Harmonic(omega0=1e13)),
+             "rotation rate"),
+            (lambda: RotorConfig(Omega=1e12, R=1e-10, model=Harmonic(omega0=1e200)),
+             "trap frequency"),
+            (lambda: drfs_exact(t, RotorConfig(Omega=1e200, R=1e-10, model=Coulomb())),
+             "rotation rate"),
+            (lambda: velocity_ratio_squared(RotorConfig(Omega=1e100, R=1e100, model=Coulomb())),
+             "velocity ratio")):
+        with pytest.raises(OutOfRegimeError, match=f"^{quantity} leaves the double-precision"):
             call()
 
 
