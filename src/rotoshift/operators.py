@@ -5,7 +5,9 @@ on a circle, and a hydrogen-like atom held at fixed distance from a rotation
 axis.  Matrices are assembled by index arithmetic over a label -> index
 table from exact ladder-operator or dipole matrix elements, so each stored
 entry is exact; truncation only removes couplings out of the basis.  The
-shell's x and y follow from z through the commutators with L+-.
+shell's x and y follow from z through the commutators with L+-.  Each
+operator is kept as the blocks an exact symmetry leaves uncoupled: the n_z
+sectors of the trap, the sigma_z-parity classes of the shell.
 """
 
 from __future__ import annotations
@@ -60,30 +62,12 @@ class TruncatedBasis:
         return len(self.labels)
 
 
-def _coupled_blocks(H: np.ndarray) -> list:
-    # index sets of the connected components of the nonzero pattern of H,
-    # by breadth-first search; H is block diagonal over them
-    linked = H != 0
-    linked |= linked.T
-    free = np.ones(len(H), dtype=bool)
-    blocks = []
-    while free.any():
-        block = np.zeros_like(free)
-        frontier = np.zeros_like(free)
-        frontier[np.argmax(free)] = True
-        while frontier.any():
-            block |= frontier
-            frontier = linked[frontier].any(axis=0) & ~block
-        free &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian operator over a labeled truncated basis, kept as the blocks
-    it leaves uncoupled: (indices, block) pairs whose indices partition the
-    basis, each block a read-only dense Hermitian array over its indices.
+    a symmetry leaves uncoupled: (indices, block) pairs whose indices
+    partition the basis, each block a read-only dense Hermitian array over
+    its indices.  Built by from_blocks, which checks all of that.
     """
 
     basis: TruncatedBasis
@@ -99,15 +83,6 @@ class HermitianOperator:
             dense[np.ix_(indices, indices)] = block
         dense.flags.writeable = False
         return dense
-
-    @classmethod
-    def from_matrix(cls, basis: TruncatedBasis, matrix: np.ndarray) -> "HermitianOperator":
-        """Split a dense matrix into the blocks its nonzero pattern leaves uncoupled."""
-        matrix = np.asarray(matrix)
-        if matrix.shape != (basis.dimension, basis.dimension):
-            raise ValidationError("matrix dimension does not match basis dimension")
-        # every nonzero element lies in a block, so the blocks' check is the matrix's
-        return cls.from_blocks(basis, [(i, matrix[np.ix_(i, i)]) for i in _coupled_blocks(matrix)])
 
     @classmethod
     def from_blocks(cls, basis: TruncatedBasis, blocks) -> "HermitianOperator":
@@ -345,12 +320,11 @@ def manifold_position_matrices(n: int):
 
 
 def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> HermitianOperator:
-    """First-order perturbation matrix of one hydrogen shell in crossed fields.
+    """First-order perturbation of one hydrogen shell in crossed fields, in J.
 
-    W = -e E . r - (e/2m) B L_z restricted to the n^2
-    degenerate states, in joules.  The magnetic part is diagonal in m_l; the
-    Stark part mixes l by one through the dipole elements.  For n=1 the
-    matrix is identically zero (no linear Stark shift, single m_l).
+    W = -e E . r - (e/2m) B_z L_z over the n^2 degenerate states.  An
+    in-plane E keeps the sigma_z parity (-1)^(l+m), so W is then kept as the
+    blocks of the two parity classes; an E with a z component gives one block.
     """
     if not isinstance(Z, int) or isinstance(Z, bool) or Z < 1:
         raise ValidationError("nuclear charge Z must be an integer >= 1")
@@ -360,6 +334,10 @@ def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> Hermitia
     Ex, Ey, Ez = (float(c) for c in fields.pseudo_E)
     W = -e * length * (Ex * X + Ey * Y + Ez * Zmat)
     larmor = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
+    labels = np.array(basis.labels)
     diagonal = np.arange(basis.dimension)
-    W[diagonal, diagonal] += -larmor * CODATA2018.hbar * np.array(basis.labels)[:, 2]
-    return HermitianOperator.from_matrix(basis, W)
+    W[diagonal, diagonal] += -larmor * CODATA2018.hbar * labels[:, 2]
+    parity = (labels[:, 1] + labels[:, 2]) % 2 if Ez == 0 else np.zeros_like(diagonal)
+    # not np.unique, which imports numpy.ma
+    classes = [np.flatnonzero(parity == p) for p in sorted(set(parity.tolist()))]
+    return HermitianOperator.from_blocks(basis, [(i, W[np.ix_(i, i)]) for i in classes])

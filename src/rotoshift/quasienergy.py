@@ -1,6 +1,6 @@
 """Quasi-energy spectra of rotating emitters, numeric and closed form.
 
-The numeric route diagonalizes Hermitian matrices from the operators
+The numeric route diagonalizes Hermitian operators from the operators
 module; the closed-form route evaluates the displaced-oscillator and
 crossed-field level formulas directly.  Tests hold the two routes against
 each other, so neither is allowed to borrow results from the other.
@@ -18,7 +18,7 @@ import numpy as np
 from .constants import CODATA2018, atomic_velocity
 from .errors import (PerturbativeRegimeWarning, RotoshiftError,
                      StateNotFoundError, ValidationError, double_precision)
-from .operators import HermitianOperator, TruncatedBasis
+from .operators import HermitianOperator
 from .rotor import Coulomb, CrossedFields, Harmonic, RotorConfig
 
 
@@ -54,21 +54,18 @@ class SpectrumResult:
         raise StateNotFoundError(f"no level labeled {label!r} in this spectrum")
 
 
-def eigen_spectrum(operator) -> SpectrumResult:
-    """All eigenvalues of a Hermitian operator, ascending.
+def eigen_spectrum(operator: HermitianOperator) -> SpectrumResult:
+    """All eigenvalues of a HermitianOperator, ascending.
 
-    Accepts a HermitianOperator or a raw matrix, which from_matrix checks
-    and splits into its uncoupled blocks; each block is diagonalized on its
-    own.  Each eigenpair is checked against the residual bound
+    Each of the operator's blocks is diagonalized on its own.  Each
+    eigenpair is checked against the residual bound
     ||Hv - lambda v|| <= 1e-10 ||H||, with ||H|| the largest |eigenvalue|
     of the whole spectrum, dividing by ||H|| before squaring; dense
     symmetric solvers sit orders of magnitude below that, so a violation
     indicates a broken input.
     """
     if not isinstance(operator, HermitianOperator):
-        # a raw matrix is indexed by placeholder occupation labels (i, 0, 0)
-        basis = TruncatedBasis(kind="HO3D", labels=tuple((i, 0, 0) for i in range(len(operator))))
-        operator = HermitianOperator.from_matrix(basis, operator)
+        raise ValidationError(f"expected a HermitianOperator, got {type(operator).__name__}")
     solved = [(block,) + tuple(np.linalg.eigh(block)) for _, block in operator.blocks]
     vals = np.sort(np.concatenate([np.zeros(0)] + [v for _, v, _ in solved]))
     norm = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
@@ -80,7 +77,7 @@ def eigen_spectrum(operator) -> SpectrumResult:
     return SpectrumResult(levels=levels)
 
 
-def first_order_degenerate_levels(E0: float, W) -> SpectrumResult:
+def first_order_degenerate_levels(E0: float, W: HermitianOperator) -> SpectrumResult:
     """Levels E0 + eig(W) of a degenerate manifold under perturbation W."""
     inner = eigen_spectrum(W)
     levels = tuple((lab, E0 + val) for lab, val in inner.levels)

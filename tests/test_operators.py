@@ -94,9 +94,9 @@ def test_hydrogen_basis_range():
 def test_non_hermitian_matrix_rejected():
     basis = build_ho_basis(0)
     with pytest.raises(ValidationError):
-        HermitianOperator.from_matrix(basis, np.array([[1.0 + 1.0j]]))
+        HermitianOperator.from_blocks(basis, [([0], np.array([[1.0 + 1.0j]]))])
     with pytest.raises(ValidationError):
-        HermitianOperator.from_matrix(basis, np.zeros((2, 2)))
+        HermitianOperator.from_blocks(basis, [([0, 1], np.zeros((2, 2)))])
 
 
 def test_operator_matrix_is_read_only():
@@ -132,8 +132,9 @@ def test_oscillator_blocks_are_the_nz_sectors_and_match_the_dense_route():
     op = ho_rotating_hamiltonian(basis, harmonic_rotor(0.3, 0.05))
     nz = np.array(basis.labels)[:, 2]
     assert [sorted(set(nz[i])) for i, _ in op.blocks] == [[z] for z in range(9)]
-    assert np.array_equal(eigen_spectrum(op).energies(),
-                          eigen_spectrum(np.array(op.matrix)).energies())
+    got = eigen_spectrum(op).energies()
+    want = np.linalg.eigvalsh(op.matrix)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_oscillator_route_never_forms_the_dense_matrix():
@@ -427,6 +428,33 @@ def test_perturbation_scales_with_nuclear_charge():
     assert np.allclose(w1, 2.0 * w2, rtol=1e-12, atol=0.0)
     with pytest.raises(ValidationError):
         manifold_perturbation(2, fields, Z=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_shell_blocks_are_the_parity_classes_and_drop_nothing(n):
+    c = CODATA2018
+    _, X, Y, Zm = manifold_position_matrices(n)
+    labels = np.array(hydrogen_manifold_basis(n).labels)
+    parity = (labels[:, 1] + labels[:, 2]) % 2
+    classes = [np.flatnonzero(parity == p) for p in (0, 1) if np.any(parity == p)]
+    cases = [
+        (fictitious_fields(RotorConfig(Omega=2e12, R=1e-10, model=Coulomb())), classes),
+        # R = 0: W is diagonal, and still kept as the two parity blocks
+        (fictitious_fields(RotorConfig(Omega=2e12, R=0.0, model=Coulomb())), classes),
+        (CrossedFields(pseudo_E=np.array([3e8, -1e8, 2e8]), pseudo_B=np.array([0.0, 0.0, 4.0])),
+         [np.arange(n * n)]),
+    ]
+    for fields, want in cases:
+        op = manifold_perturbation(n, fields)
+        assert [i.tolist() for i, _ in op.blocks] == [i.tolist() for i in want]
+        Ex, Ey, Ez = fields.pseudo_E
+        larmor = c.elementary_charge * fields.pseudo_B[2] / (2.0 * c.electron_mass)
+        dense = (-c.elementary_charge * c.bohr_radius * (Ex * X + Ey * Y + Ez * Zm)
+                 - np.diag(larmor * c.hbar * labels[:, 2]))
+        assert np.array_equal(op.matrix, dense)
+        got = eigen_spectrum(op).energies()
+        exact = np.linalg.eigvalsh(op.matrix)
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 def test_fictitious_fields_feed_perturbation():

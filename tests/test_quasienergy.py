@@ -10,9 +10,9 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from rotoshift import operators, quasienergy
+from rotoshift import quasienergy
 
-from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
+from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic, HermitianOperator,
                        PerturbativeRegimeWarning, RotoshiftError, RotorConfig,
                        SpectrumResult, StateNotFoundError, ValidationError,
                        atomic_velocity, build_ho_basis, crossed_field_levels,
@@ -23,7 +23,7 @@ from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        ho_rotating_spectrum, ho_shell_multiplicity,
                        manifold_perturbation, rotating_coulomb_levels,
                        rotating_coulomb_spectrum, splitting_expansion_parameter,
-                       Transition, drfs_exact, driven_shift_report)
+                       Transition, TruncatedBasis, drfs_exact, driven_shift_report)
 
 C = CODATA2018
 
@@ -66,21 +66,42 @@ def test_quasi_energy_lookup():
         s.quasi_energy((9, 9))
 
 
+def line_basis(dim):
+    """A basis of dim states, labeled (i, 0, 0)."""
+    return TruncatedBasis(kind="HO3D", labels=tuple((i, 0, 0) for i in range(dim)))
+
+
+def one_block(matrix):
+    """The matrix as a one-block operator over line_basis."""
+    matrix = np.asarray(matrix)
+    return HermitianOperator.from_blocks(line_basis(len(matrix)),
+                                         [(np.arange(len(matrix)), matrix)])
+
+
 def test_eigen_spectrum_simple_matrices():
-    s = eigen_spectrum(np.diag([3.0, -1.0, 2.0]).astype(complex))
+    s = eigen_spectrum(one_block(np.diag([3.0, -1.0, 2.0]).astype(complex)))
     assert np.allclose(s.energies(), [-1.0, 2.0, 3.0])
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.allclose(eigen_spectrum(flip).energies(), [-1.0, 1.0])
+    assert np.allclose(eigen_spectrum(one_block(flip)).energies(), [-1.0, 1.0])
 
 
 def test_eigen_spectrum_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        eigen_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        eigen_spectrum(one_block(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+
+
+def test_eigen_spectrum_refuses_anything_but_an_operator():
+    for bad in (np.eye(2), [[1.0]], None):
+        with pytest.raises(ValidationError, match="HermitianOperator"):
+            eigen_spectrum(bad)
+        with pytest.raises(ValidationError, match="HermitianOperator"):
+            first_order_degenerate_levels(0.0, bad)
 
 
 def interleaved_blocks():
     # a real symmetric 3x3 block and a complex Hermitian 4x4 block, their
-    # rows and columns shuffled into each other
+    # rows and columns shuffled into each other; returns the operator over
+    # the shuffled indices and its dense matrix
     rng = np.random.default_rng(11)
     A = rng.normal(size=(3, 3))
     B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -88,14 +109,16 @@ def interleaved_blocks():
     H[:3, :3] = A + A.T
     H[3:, 3:] = B + B.conj().T
     order = rng.permutation(7)
-    return H[np.ix_(order, order)], order
+    H = H[np.ix_(order, order)]
+    blocks = [(i, H[np.ix_(i, i)]) for i in (np.flatnonzero(order < 3),
+                                             np.flatnonzero(order >= 3))]
+    return HermitianOperator.from_blocks(line_basis(7), blocks), H
 
 
 def test_eigen_spectrum_splits_interleaved_blocks():
-    H, order = interleaved_blocks()
-    blocks = operators._coupled_blocks(H)
-    assert sorted(sorted(order[b].tolist()) for b in blocks) == [[0, 1, 2], [3, 4, 5, 6]]
-    got = eigen_spectrum(H).energies()
+    op, H = interleaved_blocks()
+    assert np.array_equal(op.matrix, H)
+    got = eigen_spectrum(op).energies()
     want = np.linalg.eigvalsh(H)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -112,10 +135,10 @@ def test_eigen_spectrum_residual_check_fires(monkeypatch):
 
 
 def test_first_order_levels_offset():
-    W = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    W = one_block(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
     s = first_order_degenerate_levels(-2.0, W)
     assert np.allclose(s.energies(), [-2.5, -1.5])
-    zero = first_order_degenerate_levels(1.25, np.zeros((3, 3), dtype=complex))
+    zero = first_order_degenerate_levels(1.25, one_block(np.zeros((3, 3), dtype=complex)))
     assert np.all(zero.energies() == 1.25)
 
 
