@@ -31,8 +31,8 @@ print()
 print("  Omega/omega0   max rel err (lowest half)")
 for frac in (0.02, 0.05, 0.1):
     rotor = RotorConfig(Omega=frac * omega0, R=R, model=Harmonic(omega0=omega0))
-    numeric = eigen_spectrum(ho_rotating_hamiltonian(basis, rotor)).energies()
-    closed = ho_rotating_spectrum(10, rotor).energies()
+    numeric = eigen_spectrum(ho_rotating_hamiltonian(basis, rotor))
+    closed = ho_rotating_spectrum(10, rotor).energies
     keep = basis.dimension // 2
     err = np.max(np.abs(numeric[:keep] - closed[:keep]) / np.abs(closed[:keep]))
     print(f"  {frac:10.2f}   {err:.2e}")

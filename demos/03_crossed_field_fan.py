@@ -34,7 +34,7 @@ fields = CrossedFields(pseudo_E=np.array([2e4, 0.0, 0.0]),
 E0 = crossed_field_levels(n, 0, no_fields())
 
 numeric = first_order_degenerate_levels(
-    E0, manifold_perturbation(n, fields)).energies()
+    E0, manifold_perturbation(n, fields))
 closed = np.sort(np.concatenate(
     [[crossed_field_levels(n, m, fields)] * (n - abs(m))
      for m in range(-(n - 1), n)]))
@@ -55,7 +55,7 @@ print()
 # the uniform m_z fan, which is what feeds the square-root shift
 stark_only = CrossedFields(pseudo_E=np.array([2e4, 0.0, 0.0]),
                            pseudo_B=np.zeros(3))
-w = eigen_spectrum(manifold_perturbation(2, stark_only)).energies()
+w = eigen_spectrum(manifold_perturbation(2, stark_only))
 print("n = 2, in-plane field alone, perturbation eigenvalues (eV):")
 print("  " + "  ".join(f"{v / EV:+.6e}" for v in w))
 print()

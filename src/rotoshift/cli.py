@@ -151,10 +151,7 @@ def validate_config(raw: dict, command: str) -> dict:
 
     model = raw.get("model")
     needs_model = command in ("spectrum", "drfs", "compare-stark", "sweep")
-    if needs_model:
-        if model not in ("harmonic", "coulomb"):
-            problems.append("model: must be 'harmonic' or 'coulomb'")
-    elif model is not None and model not in ("harmonic", "coulomb"):
+    if (needs_model or model is not None) and model not in ("harmonic", "coulomb"):
         problems.append("model: must be 'harmonic' or 'coulomb'")
 
     rotor = _block(raw, "rotor", _ROTOR_KEYS, problems,
@@ -379,16 +376,21 @@ def _transition_row(swept_value: float, rotor: RotorConfig, t: Transition,
                     drive_vec, drive_mag) -> list:
     # the report carries the levels and splitting factors; the model and the
     # drive pick only the report and the series and force-ratio cells
+    harmonic = isinstance(rotor.model, Harmonic)
+    try:
+        report = (harmonic_shift_report(t, rotor) if harmonic
+                  else drfs_exact(t, rotor) if drive_vec is None
+                  else driven_shift_report(t, rotor, drive_vec))
+    except OutOfRegimeError as exc:
+        # a level past double precision; the upper one is formed first
+        raise _not_finite("quasi_energy_upper_J", "swept_value", swept_value, exc) from exc
     series = series_alt = fratio = None
-    if isinstance(rotor.model, Harmonic):
-        report = harmonic_shift_report(t, rotor)
+    if harmonic:
         # Omega couples only through -Omega m_z here, so no dynamic term
         series = series_alt = report.kinematic_part
     elif drive_vec is not None:
-        report = driven_shift_report(t, rotor, drive_vec)
         fratio = force_ratio(rotor, drive_mag)
     else:
-        report = drfs_exact(t, rotor)
         try:
             series = drfs_series(t, rotor)
             series_alt = drfs_series(t, rotor, coefficient=ALT_SERIES_COEFFICIENT)
@@ -419,38 +421,31 @@ def _run_sweep(config: dict, M_override, axis: str, values) -> tuple:
     return REPORT_COLUMNS, [build(float(v)) for v in values]
 
 
-def _closed_form_spectrum(spectrum, top: int, rotor: RotorConfig):
-    # the config is valid here, so the spectrum's one remaining objection is
-    # a level that leaves double precision, which is out of regime (exit 3)
-    try:
-        return spectrum(top, rotor)
-    except ValidationError as exc:
-        raise OutOfRegimeError(f"quasi_energy_closed_form_J: {exc}") from exc
-
-
 def _run_spectrum(config: dict):
     rotor = _build_rotor(config)
-    if config["model"] == "harmonic":
-        n_max = int(config.get("basis_n_max", 10))
-        analytic = _closed_form_spectrum(ho_rotating_spectrum, n_max, rotor)
-        H = ho_rotating_hamiltonian(build_ho_basis(n_max), rotor)
-        numeric = eigen_spectrum(H).energies()
-        columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J",
-                   "quasi_energy_diagonalized_J"]
+    harmonic = config["model"] == "harmonic"
+    top = int(config.get("basis_n_max", 10) if harmonic else config["transition"]["upper"][0])
+    # the config is valid here, so the closed form's one remaining objection
+    # is a level or rate that leaves double precision: out of regime (exit 3)
+    try:
+        analytic = (ho_rotating_spectrum if harmonic else rotating_coulomb_spectrum)(top, rotor)
+    except (ValidationError, OutOfRegimeError) as exc:
+        raise OutOfRegimeError(f"quasi_energy_closed_form_J: {exc}") from exc
+    if harmonic:
+        numeric = eigen_spectrum(ho_rotating_hamiltonian(build_ho_basis(top), rotor))
+        numeric_column = "quasi_energy_diagonalized_J"
     else:
-        n_top = int(config["transition"]["upper"][0])
-        analytic = _closed_form_spectrum(rotating_coulomb_spectrum, n_top, rotor)
         fields = fictitious_fields(rotor)
         pieces = []
-        for n in range(1, n_top + 1):
+        for n in range(1, top + 1):
             E0 = rotating_coulomb_levels(n, 0, rotor)
             W = manifold_perturbation(n, fields, Z=rotor.model.Z)
-            pieces.append(first_order_degenerate_levels(E0, W).energies())
+            pieces.append(first_order_degenerate_levels(E0, W))
         numeric = np.sort(np.concatenate(pieces))
-        columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J",
-                   "quasi_energy_first_order_J"]
-    rows = [[i, label[0], label[1], value, float(numeric[i])]
-            for i, (label, value) in enumerate(analytic.levels)]
+        numeric_column = "quasi_energy_first_order_J"
+    columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J", numeric_column]
+    rows = [[i, *label, value, numeric_value] for i, (label, value, numeric_value) in
+            enumerate(zip(analytic.labels.tolist(), analytic.energies.tolist(), numeric.tolist()))]
     return columns, rows
 
 
@@ -477,12 +472,16 @@ def _run_compare_stark(config: dict):
     t = config["transition"]
     shells = sorted({int(t["upper"][0]), int(t["lower"][0])})
     rows = []
-    for n in shells:
-        for m_z in range(-(n - 1), n):
-            rows.append([n, m_z,
-                         driven_rotating_levels(n, m_z, rotor, enhanced),
-                         driven_rotating_levels(n, m_z, rotor, reduced),
-                         fr, fr_eng])
+    try:
+        for n in shells:
+            for m_z in range(-(n - 1), n):
+                rows.append([n, m_z,
+                             driven_rotating_levels(n, m_z, rotor, enhanced),
+                             driven_rotating_levels(n, m_z, rotor, reduced),
+                             fr, fr_eng])
+    except OutOfRegimeError as exc:
+        # a level past double precision; the enhanced drive's force is the larger
+        raise _not_finite("level_enhanced_J", "shell", n, exc) from exc
     columns = ["shell", "m_z", "level_enhanced_J", "level_reduced_J",
                "force_ratio", "force_ratio_engineering"]
     return columns, rows
@@ -493,14 +492,17 @@ def _run_compare_stark(config: dict):
 # ---------------------------------------------------------------------------
 
 
+def _not_finite(column: str, key: str, value, reason) -> OutOfRegimeError:
+    return OutOfRegimeError(f"{column} is not finite at {key} = {_fmt(value)}: {reason}")
+
+
 def _check_finite(columns, rows):
     # every float cell must be finite; undefined ones are None, not nan
     for row in rows:
         for name, value in zip(columns, row):
             if isinstance(value, float) and not math.isfinite(value):
-                raise OutOfRegimeError(
-                    f"{name} is not finite at {columns[0]} = {_fmt(row[0])}: "
-                    f"the computation leaves the double-precision range")
+                raise _not_finite(name, columns[0], row[0],
+                                  "the computation leaves the double-precision range")
 
 
 def _render_csv(columns, rows) -> str:
@@ -627,9 +629,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OutOfRegimeError, ResonanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,6 +96,8 @@ class HermitianOperator:
         taken = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in blocks])
         if not np.array_equal(np.sort(taken), np.arange(basis.dimension)):
             raise ValidationError("block indices must partition the basis")
+        if not all(np.isfinite(b).all() for _, b in blocks):
+            raise ValidationError("matrix entries must be finite")
         defect = max([0.0] + [np.max(np.abs(b - b.conj().T), initial=0.0) for _, b in blocks])
         scale = max([0.0] + [np.max(np.abs(b), initial=0.0) for _, b in blocks])
         if defect > 1e-12 * max(scale, 1e-300):
@@ -117,7 +119,6 @@ def build_ho_basis(N_max: int) -> TruncatedBasis:
               for nx in range(N_max + 1)
               for ny in range(N_max + 1 - nx)
               for nz in range(N_max + 1 - nx - ny)]
-    labels.sort()
     return TruncatedBasis(kind="HO3D", labels=tuple(labels))
 
 
@@ -126,7 +127,6 @@ def hydrogen_manifold_basis(n: int) -> TruncatedBasis:
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 10:
         raise ValidationError("principal quantum number must satisfy 1 <= n <= 10")
     labels = [(n, l, m) for l in range(n) for m in range(-l, l + 1)]
-    labels.sort()
     return TruncatedBasis(kind="HydrogenManifold", labels=tuple(labels))
 
 
@@ -162,7 +162,8 @@ def _ho_sectors(basis: TruncatedBasis) -> list:
     if basis.kind != "HO3D":
         raise ValidationError("oscillator operators need an HO3D basis")
     labels = np.array(basis.labels, dtype=np.int64)
-    sectors = [np.flatnonzero(labels[:, 2] == nz) for nz in np.unique(labels[:, 2])]
+    # not np.unique, which imports numpy.ma on its first call
+    sectors = [np.flatnonzero(labels[:, 2] == nz) for nz in sorted(set(labels[:, 2].tolist()))]
     return [(indices, *_label_hops(labels[indices])) for indices in sectors]
 
 

@@ -10,52 +10,60 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import copysign, hypot
+from math import copysign, hypot, isfinite
 from typing import Tuple
 
 import numpy as np
 
 from .constants import CODATA2018, atomic_velocity
-from .errors import (PerturbativeRegimeWarning, RotoshiftError,
+from .errors import (OutOfRegimeError, PerturbativeRegimeWarning, RotoshiftError,
                      StateNotFoundError, ValidationError, double_precision)
 from .operators import HermitianOperator
 from .rotor import Coulomb, CrossedFields, Harmonic, RotorConfig
 
 
+def _finite(energies: np.ndarray) -> np.ndarray:
+    # the one check every spectrum array passes on its way out
+    if not np.isfinite(energies).all():
+        raise ValidationError("every quasi-energy must be finite")
+    return energies
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Levels of one spectrum computation, ascending in quasi-energy.
+    """Closed-form levels, ascending in quasi-energy.
 
-    Each entry is (label, quasi_energy in J).  Closed-form spectra carry
-    physical labels such as (N, m_z) or (n, m_z), repeated once per
-    degenerate state; diagonalization results label states by position
-    index, since a bare eigenvalue has no quantum numbers attached.
-    Ties are broken by label order so output files are reproducible.
+    labels is an int64 array of (q, m_z) rows, such as (N, m_z) or (n, m_z),
+    repeated once per degenerate state; energies holds each row's
+    quasi-energy in J.  Ties are broken by label order so output files are
+    reproducible.  Both arrays are read-only.
     """
 
-    levels: Tuple[Tuple[tuple, float], ...]
+    labels: np.ndarray
+    energies: np.ndarray
 
     def __post_init__(self):
-        for _, value in self.levels:
-            if not np.isfinite(value):
-                raise ValidationError("every quasi-energy must be finite")
-        ordered = tuple(sorted(self.levels, key=lambda lv: (lv[1], lv[0])))
-        object.__setattr__(self, "levels", ordered)
-
-    def energies(self) -> np.ndarray:
-        return np.array([value for _, value in self.levels])
+        labels = np.array(self.labels, dtype=np.int64)
+        energies = _finite(np.array(self.energies, dtype=float))
+        if (energies.ndim != 1 or labels.shape != (len(energies), 2)
+                or np.any(labels != np.asarray(self.labels))):
+            raise ValidationError("a spectrum needs one integer (q, m_z) row per quasi-energy")
+        order = np.lexsort((labels[:, 1], labels[:, 0], energies))
+        for name, column in (("labels", labels[order]), ("energies", energies[order])):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def quasi_energy(self, label: tuple) -> float:
         """Quasi-energy of the first level carrying the given label."""
         label = tuple(label)
-        for lab, value in self.levels:
-            if lab == label:
-                return value
-        raise StateNotFoundError(f"no level labeled {label!r} in this spectrum")
+        hits = np.flatnonzero((self.labels == label).all(axis=1)) if len(label) == 2 else ()
+        if not len(hits):
+            raise StateNotFoundError(f"no level labeled {label!r} in this spectrum")
+        return float(self.energies[hits[0]])
 
 
-def eigen_spectrum(operator: HermitianOperator) -> SpectrumResult:
-    """All eigenvalues of a HermitianOperator, ascending.
+def eigen_spectrum(operator: HermitianOperator) -> np.ndarray:
+    """All eigenvalues of a HermitianOperator, as an ascending array.
 
     Each of the operator's blocks is diagonalized on its own.  Each
     eigenpair is checked against the residual bound
@@ -73,15 +81,12 @@ def eigen_spectrum(operator: HermitianOperator) -> SpectrumResult:
         residual = np.linalg.norm((block @ vecs - vecs * v) / norm, axis=0)
         if np.any(residual > 1e-10):
             raise RotoshiftError("eigensolver residual exceeds tolerance")
-    levels = tuple(((i,), float(v)) for i, v in enumerate(vals))
-    return SpectrumResult(levels=levels)
+    return _finite(vals)
 
 
-def first_order_degenerate_levels(E0: float, W: HermitianOperator) -> SpectrumResult:
-    """Levels E0 + eig(W) of a degenerate manifold under perturbation W."""
-    inner = eigen_spectrum(W)
-    levels = tuple((lab, E0 + val) for lab, val in inner.levels)
-    return SpectrumResult(levels=levels)
+def first_order_degenerate_levels(E0: float, W: HermitianOperator) -> np.ndarray:
+    """Levels E0 + eig(W) of a degenerate manifold under perturbation W, ascending."""
+    return _finite(E0 + eigen_spectrum(W))
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +94,16 @@ def first_order_degenerate_levels(E0: float, W: HermitianOperator) -> SpectrumRe
 # ---------------------------------------------------------------------------
 
 
-def _require_harmonic(rotor: RotorConfig) -> Harmonic:
+def _ho_levels(N, m_z, rotor: RotorConfig):
+    # the trap level formula, elementwise; the depression is formed once
     if not isinstance(rotor.model, Harmonic):
         raise ValidationError("rotor model must be Harmonic")
-    return rotor.model
+    w0 = rotor.model.omega0
+    h = CODATA2018.hbar
+    with double_precision("trap depression"):
+        depression = (CODATA2018.electron_mass * w0 ** 2 * rotor.v_c ** 2
+                      / (2.0 * (w0 ** 2 - rotor.Omega ** 2)))
+    return h * w0 * (N + 1.5) - h * rotor.Omega * m_z - depression
 
 
 def ho_rotating_levels(N: int, m_z: int, rotor: RotorConfig) -> float:
@@ -102,24 +113,17 @@ def ho_rotating_levels(N: int, m_z: int, rotor: RotorConfig) -> float:
     depression m omega0^2 Omega^2 R^2 / (2 (omega0^2 - Omega^2)) from the
     displaced equilibrium.  Valid for any N >= 0 and |m_z| <= N.
     """
-    model = _require_harmonic(rotor)
     if not isinstance(N, int) or isinstance(N, bool) or N < 0:
         raise ValidationError("shell number N must be a nonnegative integer")
     if not isinstance(m_z, int) or isinstance(m_z, bool) or abs(m_z) > N:
         raise ValidationError("m_z must be an integer with |m_z| <= N")
-    w0 = model.omega0
-    h = CODATA2018.hbar
-    with double_precision("trap depression"):
-        depression = (CODATA2018.electron_mass * w0 ** 2 * rotor.v_c ** 2
-                      / (2.0 * (w0 ** 2 - rotor.Omega ** 2)))
-    return h * w0 * (N + 1.5) - h * rotor.Omega * m_z - depression
+    return _ho_levels(N, m_z, rotor)
 
 
 def ho_shell_multiplicity(N: int, m_z: int) -> int:
-    """Number of shell-N oscillator states with axial angular momentum m_z."""
-    if abs(m_z) > N:
-        return 0
-    return (N - abs(m_z)) // 2 + 1
+    """Number of shell-N oscillator states with axial angular momentum m_z, elementwise."""
+    excess = N - abs(m_z)
+    return (excess >= 0) * (excess // 2 + 1)
 
 
 def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
@@ -129,15 +133,12 @@ def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
     multiset is directly comparable to a full diagonalization of the same
     truncation.
     """
-    _require_harmonic(rotor)
     if not isinstance(N_max, int) or isinstance(N_max, bool) or N_max < 0:
         raise ValidationError("N_max must be a nonnegative integer")
-    levels = []
-    for N in range(N_max + 1):
-        for m_z in range(-N, N + 1):
-            value = ho_rotating_levels(N, m_z, rotor)
-            levels.extend(((N, m_z), value) for _ in range(ho_shell_multiplicity(N, m_z)))
-    return SpectrumResult(levels=tuple(levels))
+    # every (N, m_z) with |m_z| <= N_max; those with |m_z| > N have no state
+    N, m_z = np.indices((N_max + 1, 2 * N_max + 1)).reshape(2, -1) - [[0], [N_max]]
+    labels = np.repeat(np.stack([N, m_z], axis=1), ho_shell_multiplicity(N, m_z), axis=0)
+    return SpectrumResult(labels, _ho_levels(labels[:, 0], labels[:, 1], rotor))
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +163,15 @@ def _fan_rate(n: int, omega_L: float, force: float, Z: int) -> Tuple[float, floa
     # like omega_L (+ for pure Stark), with omega_S = 3 n a / (2 v_a) for the
     # in-plane acceleration a = F / m, F = e |E_tot|; finite wherever a is
     omega_S = 3.0 * n * (force / CODATA2018.electron_mass) / (2.0 * atomic_velocity(Z))
+    if not isfinite(omega_S):
+        raise OutOfRegimeError("Stark rate leaves the double-precision range")
     return copysign(hypot(omega_L, omega_S), omega_L), omega_S
 
 
 def _fan_level(n: int, m_z: int, omega_L: float, force: float, Z: int,
                stacklevel: int = 3) -> Tuple[float, float]:
-    # (E_n - hbar m_z Omega_fan, omega_S); warns, at the public function's caller
-    # stacklevel frames up, when the fan spreads over 1% of the next shell gap
-    _check_shell_numbers(n, m_z)
+    # (E_n - hbar m_z Omega_fan, omega_S), also over an m_z array; warns, at the public
+    # function's caller stacklevel frames up, when the fan spreads over 1% of the next shell gap
     fan, omega_S = _fan_rate(n, omega_L, force, Z)
     level = _bohr_level(n, Z)
     gap = abs(_bohr_level(n + 1, Z) - level)
@@ -191,6 +193,7 @@ def crossed_field_levels(n: int, m_z: int, fields: CrossedFields, Z: int = 1) ->
     """
     e = CODATA2018.elementary_charge
     omega_L = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
+    _check_shell_numbers(n, m_z)
     return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z)[0]
 
 
@@ -230,6 +233,7 @@ def rotating_coulomb_levels(n: int, m_z: int, rotor: RotorConfig) -> float:
     leaves the pure rotational splitting -hbar Omega m_z.
     """
     force, Z = _turntable_force(rotor, None)
+    _check_shell_numbers(n, m_z)
     return _fan_level(n, m_z, rotor.Omega, force, Z)[0]
 
 
@@ -255,6 +259,7 @@ def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig, drive_E) -> flo
     goes to zero under a drive, the fan tends to the Stark fan.
     """
     force, Z = _turntable_force(rotor, drive_E)
+    _check_shell_numbers(n, m_z)
     return _fan_level(n, m_z, rotor.Omega, force, Z)[0]
 
 
@@ -264,12 +269,13 @@ def rotating_coulomb_spectrum(n_max: int, rotor: RotorConfig) -> SpectrumResult:
     Labels are (n, m_z), repeated once per degenerate orbital (a given m_z
     occurs in the n - |m_z| states with l >= |m_z|).
     """
-    _require_coulomb(rotor)
+    force, Z = _turntable_force(rotor, None)
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ValidationError("n_max must be a positive integer")
-    levels = []
-    for n in range(1, n_max + 1):
-        for m_z in range(-(n - 1), n):
-            value = rotating_coulomb_levels(n, m_z, rotor)
-            levels.extend(((n, m_z), value) for _ in range(n - abs(m_z)))
-    return SpectrumResult(levels=tuple(levels))
+    n, m_z = np.indices((n_max, 2 * n_max - 1)).reshape(2, -1) + [[1], [1 - n_max]]
+    labels = np.repeat(np.stack([n, m_z], axis=1), np.maximum(n - abs(m_z), 0), axis=0)
+    energies = []
+    for q in range(1, n_max + 1):
+        # one fan per shell, so a shell warns at most once, naming the caller
+        energies.append(_fan_level(q, labels[labels[:, 0] == q, 1], rotor.Omega, force, Z)[0])
+    return SpectrumResult(labels, np.concatenate(energies))

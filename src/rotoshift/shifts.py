@@ -20,10 +20,10 @@ from .constants import CODATA2018, atomic_velocity
 from .errors import (OutOfRegimeError, UnphysicalTransitionError,
                      ValidationError, double_precision)
 # driven_splitting_parameter stays importable here for perfbench/spans.py
-from .quasienergy import (SpectrumResult, _fan_level, _turntable_force,
+from .quasienergy import (SpectrumResult, _fan_level, _require_coulomb, _turntable_force,
                           driven_splitting_parameter, ho_rotating_levels,
                           splitting_expansion_parameter)
-from .rotor import Coulomb, Harmonic, RotorConfig
+from .rotor import RotorConfig
 
 #: Expansion coefficient of the leading dynamic shift, from the Taylor
 #: expansion of hypot(1, x) about x = 0 in this library's exact formula.
@@ -220,11 +220,8 @@ def harmonic_shift_report(t: Transition, rotor: RotorConfig) -> ShiftReport:
     with M = Delta m_z the emitted line is exactly the rest line, whatever
     the rotation rate.
     """
-    if not isinstance(rotor.model, Harmonic):
-        raise ValidationError("rotor model must be Harmonic")
+    # ho_rotating_levels checks the model and both labels
     (N, m_z), (N_prime, m_zp) = t.upper, t.lower
-    if N < 0 or N_prime < 0 or abs(m_z) > N or abs(m_zp) > N_prime:
-        raise ValidationError("harmonic levels need N >= 0 and |m_z| <= N")
     levels = (ho_rotating_levels(N, m_z, rotor), ho_rotating_levels(N_prime, m_zp, rotor))
     omega_rest = rotor.model.omega0 * (N - N_prime)
     kinematic = rotor.Omega * (t.effective_M() - (m_z - m_zp))
@@ -252,8 +249,7 @@ def drfs_series(t: Transition, rotor: RotorConfig,
     x < 0.3.  Pass coefficient=ALT_SERIES_COEFFICIENT for the
     revolutions-convention prefactor.
     """
-    if not isinstance(rotor.model, Coulomb):
-        raise ValidationError("rotor model must be Coulomb")
+    _require_coulomb(rotor)
     _check_transition_labels(t)
     (n, m_z), (n_prime, m_zp) = t.upper, t.lower
     for q in (n, n_prime):
@@ -323,8 +319,6 @@ def force_ratio_engineering(rotor: RotorConfig, drive_E: float) -> float:
 
 def velocity_ratio_squared(rotor: RotorConfig) -> float:
     """(v_c / v_a)^2, the small parameter of the whole rotational problem."""
-    if not isinstance(rotor.model, Coulomb):
-        raise ValidationError("rotor model must be Coulomb")
-    v_a = atomic_velocity(rotor.model.Z)
+    v_a = atomic_velocity(_require_coulomb(rotor).Z)
     with double_precision("velocity ratio"):
         return (rotor.v_c / v_a) ** 2

@@ -68,8 +68,8 @@ def test_criterion_1_harmonic_null_result():
         for vrel in (0.02, 0.05, 0.1):
             rotor = RotorConfig(Omega=wrel * w0, R=vrel * v_unit / (wrel * w0),
                                 model=Harmonic(omega0=w0))
-            numeric = eigen_spectrum(ho_rotating_hamiltonian(basis, rotor)).energies()
-            closed = ho_rotating_spectrum(14, rotor).energies()
+            numeric = eigen_spectrum(ho_rotating_hamiltonian(basis, rotor))
+            closed = ho_rotating_spectrum(14, rotor).energies
             errors[(wrel, vrel)] = float(np.max(
                 np.abs(numeric[:keep] - closed[:keep]) / np.abs(closed[:keep])))
 
@@ -123,7 +123,7 @@ def test_criterion_2_crossed_field_oracle():
                 pseudo_E=np.array([Emag * np.cos(phi), Emag * np.sin(phi), 0.0]),
                 pseudo_B=np.array([0.0, 0.0, B]))
             pt = first_order_degenerate_levels(
-                E0, manifold_perturbation(n, fields)).energies()
+                E0, manifold_perturbation(n, fields))
             closed = np.sort(np.concatenate(
                 [[crossed_field_levels(n, m, fields)] * (n - abs(m))
                  for m in range(-(n - 1), n)]))

@@ -698,6 +698,25 @@ def test_cli_import_leaves_out_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_spectra_leave_out_numpy_ma(tmp_path):
+    # numpy.ma costs a process about 25 ms and 0.4 MB when first imported,
+    # as np.unique does; neither spectrum needs it
+    harmonic = write_config(tmp_path, dict(harmonic_drfs_config(), basis_n_max=6), "ho.json")
+    coulomb = write_config(tmp_path, coulomb_drfs_config(), "coulomb.json")
+    src = os.path.dirname(os.path.dirname(rotoshift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys\n"
+              "from rotoshift.cli import main\n"
+              "for path in sys.argv[1:]:\n"
+              "    assert main(['spectrum', '--config', path, '--out', path + '.csv']) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, harmonic, coulomb],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "ho.json.csv").exists() and (tmp_path / "coulomb.json.csv").exists()
+
+
 def test_drive_sweep_hits_exact_cancellation(tmp_path):
     rotor = RotorConfig(Omega=2 * pi * 8e7, R=5e-11, model=Coulomb())
     star = C.electron_mass * rotor.Omega ** 2 * rotor.R / C.elementary_charge

@@ -97,6 +97,14 @@ def test_non_hermitian_matrix_rejected():
         HermitianOperator.from_blocks(basis, [([0], np.array([[1.0 + 1.0j]]))])
     with pytest.raises(ValidationError):
         HermitianOperator.from_blocks(basis, [([0, 1], np.zeros((2, 2)))])
+    # a NaN passes the Hermiticity comparison, and inf - inf is NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            HermitianOperator.from_blocks(basis, [([0], np.array([[bad]]))])
+    two = build_ho_basis(1)
+    off = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        HermitianOperator.from_blocks(two, [(np.arange(4), np.pad(off, (0, 2)))])
 
 
 def test_operator_matrix_is_read_only():
@@ -132,7 +140,7 @@ def test_oscillator_blocks_are_the_nz_sectors_and_match_the_dense_route():
     op = ho_rotating_hamiltonian(basis, harmonic_rotor(0.3, 0.05))
     nz = np.array(basis.labels)[:, 2]
     assert [sorted(set(nz[i])) for i, _ in op.blocks] == [[z] for z in range(9)]
-    got = eigen_spectrum(op).energies()
+    got = eigen_spectrum(op)
     want = np.linalg.eigvalsh(op.matrix)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -452,7 +460,7 @@ def test_shell_blocks_are_the_parity_classes_and_drop_nothing(n):
         dense = (-c.elementary_charge * c.bohr_radius * (Ex * X + Ey * Y + Ez * Zm)
                  - np.diag(larmor * c.hbar * labels[:, 2]))
         assert np.array_equal(op.matrix, dense)
-        got = eigen_spectrum(op).energies()
+        got = eigen_spectrum(op)
         exact = np.linalg.eigvalsh(op.matrix)
         assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 

@@ -47,23 +47,34 @@ def lib_bohr(n):
 
 
 def test_spectrum_result_sorts_with_label_tiebreak():
-    s = SpectrumResult(levels=(((1,), 2.0), ((0,), 2.0), ((2,), 1.0)))
-    assert [lab for lab, _ in s.levels] == [(2,), (0,), (1,)]
-    assert np.all(np.diff(s.energies()) >= 0)
+    s = SpectrumResult([(1, 1), (1, 0), (0, 2), (2, 0)], [2.0, 2.0, 2.0, 1.0])
+    assert s.labels.tolist() == [[2, 0], [0, 2], [1, 0], [1, 1]]
+    assert s.energies.tolist() == [1.0, 2.0, 2.0, 2.0]
+    assert s.labels.dtype == np.int64
+    with pytest.raises(ValueError):
+        s.energies[0] = 0.0
 
 
 def test_spectrum_result_validation():
     with pytest.raises(ValidationError):
-        SpectrumResult(levels=(((0,), float("nan")),))
+        SpectrumResult([(0, 0)], [float("nan")])
+    with pytest.raises(ValidationError):
+        SpectrumResult([(0, 0)], [float("inf")])
+    # one integer (q, m_z) row per quasi-energy
+    for labels in ([(0, 0)], [(0, 0, 0), (1, 0, 0)], [0, 1], [(2.5, 1), (1, 0)]):
+        with pytest.raises(ValidationError):
+            SpectrumResult(labels, [1.0, 2.0])
 
 
 def test_quasi_energy_lookup():
-    s = SpectrumResult(levels=(((2, 1), 5.0), ((2, 1), 7.0), ((1, 0), 1.0)))
+    s = SpectrumResult([(2, 1), (2, 1), (1, 0)], [5.0, 7.0, 1.0])
     assert s.quasi_energy((1, 0)) == 1.0
     # duplicate labels resolve to the lowest level
     assert s.quasi_energy((2, 1)) == 5.0
-    with pytest.raises(StateNotFoundError):
-        s.quasi_energy((9, 9))
+    assert s.quasi_energy([2, 1]) == 5.0
+    for label in ((9, 9), (2,), (2, 1, 0)):
+        with pytest.raises(StateNotFoundError):
+            s.quasi_energy(label)
 
 
 def line_basis(dim):
@@ -80,9 +91,10 @@ def one_block(matrix):
 
 def test_eigen_spectrum_simple_matrices():
     s = eigen_spectrum(one_block(np.diag([3.0, -1.0, 2.0]).astype(complex)))
-    assert np.allclose(s.energies(), [-1.0, 2.0, 3.0])
+    assert isinstance(s, np.ndarray)
+    assert np.allclose(s, [-1.0, 2.0, 3.0])
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.allclose(eigen_spectrum(one_block(flip)).energies(), [-1.0, 1.0])
+    assert np.allclose(eigen_spectrum(one_block(flip)), [-1.0, 1.0])
 
 
 def test_eigen_spectrum_rejects_non_hermitian():
@@ -118,7 +130,7 @@ def interleaved_blocks():
 def test_eigen_spectrum_splits_interleaved_blocks():
     op, H = interleaved_blocks()
     assert np.array_equal(op.matrix, H)
-    got = eigen_spectrum(op).energies()
+    got = eigen_spectrum(op)
     want = np.linalg.eigvalsh(H)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -137,9 +149,12 @@ def test_eigen_spectrum_residual_check_fires(monkeypatch):
 def test_first_order_levels_offset():
     W = one_block(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
     s = first_order_degenerate_levels(-2.0, W)
-    assert np.allclose(s.energies(), [-2.5, -1.5])
+    assert np.allclose(s, [-2.5, -1.5])
     zero = first_order_degenerate_levels(1.25, one_block(np.zeros((3, 3), dtype=complex)))
-    assert np.all(zero.energies() == 1.25)
+    assert np.all(zero == 1.25)
+    # the level offset passes the same finiteness check as the eigenvalues
+    with pytest.raises(ValidationError, match="finite"):
+        first_order_degenerate_levels(float("inf"), W)
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +186,34 @@ def test_ho_multiplicities_fill_each_shell():
     assert ho_shell_multiplicity(3, 5) == 0
 
 
+def assert_levels_in_label_order(s, level):
+    # each entry is the scalar level function's value for its label, bit for
+    # bit, and the rows run in (energy, q, m_z) order
+    assert s.energies.tolist() == [level(q, m_z) for q, m_z in s.labels.tolist()]
+    rows = list(zip(s.energies.tolist(), *s.labels.T.tolist()))
+    assert rows == sorted(rows)
+
+
 def test_ho_spectrum_size_and_order():
-    rotor = RotorConfig(Omega=1e12, R=1e-10, model=Harmonic(omega0=1e13))
-    s = ho_rotating_spectrum(10, rotor)
-    assert len(s.levels) == 286
-    assert np.all(np.diff(s.energies()) >= 0)
+    # at rest, R = 0, either sense of rotation, and close to the trap frequency
+    for Omega, R in ((1e12, 1e-10), (0.0, 0.0), (3e12, 0.0), (-2e12, 1e-10), (9.9e12, 1e-12)):
+        rotor = RotorConfig(Omega=Omega, R=R, model=Harmonic(omega0=1e13))
+        s = ho_rotating_spectrum(10, rotor)
+        assert s.labels.shape == (286, 2)
+        assert np.all(np.diff(s.energies) >= 0)
+        assert_levels_in_label_order(s, lambda N, m_z: ho_rotating_levels(N, m_z, rotor))
+        labels = s.labels.tolist()
+        for N in range(11):
+            for m_z in range(-N, N + 1):
+                assert labels.count([N, m_z]) == ho_shell_multiplicity(N, m_z)
 
 
 def test_ho_closed_form_tracks_diagonalization():
     # two-route agreement on the lowest half at a benign operating point
     rotor = RotorConfig(Omega=1e12, R=2e-12, model=Harmonic(omega0=1e13))
     basis = build_ho_basis(12)
-    numeric = eigen_spectrum(ho_rotating_hamiltonian(basis, rotor)).energies()
-    closed = ho_rotating_spectrum(12, rotor).energies()
+    numeric = eigen_spectrum(ho_rotating_hamiltonian(basis, rotor))
+    closed = ho_rotating_spectrum(12, rotor).energies
     keep = basis.dimension // 2
     rel = np.abs(numeric[:keep] - closed[:keep]) / np.abs(closed[:keep])
     assert np.max(rel) <= 1e-8
@@ -252,7 +282,7 @@ def test_closed_form_matches_perturbation_oracle():
                 pseudo_E=np.array([Emag * np.cos(phi), Emag * np.sin(phi), 0.0]),
                 pseudo_B=np.array([0.0, 0.0, B]))
             pt = first_order_degenerate_levels(
-                lib_bohr(n), manifold_perturbation(n, fields)).energies()
+                lib_bohr(n), manifold_perturbation(n, fields))
             closed = np.sort(np.concatenate([
                 [crossed_field_levels(n, m, fields)] * (n - abs(m))
                 for m in range(-(n - 1), n)]))
@@ -340,11 +370,18 @@ def test_crossed_field_label_follows_zeeman_sign(Omega):
                                         abs=1e-15 * abs(E_n))
 
 
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_spectrum_counts_states():
-    s = rotating_coulomb_spectrum(3, coulomb_rotor(1e11, 1e-10))
-    assert len(s.levels) == 1 + 4 + 9
-    labels = [lab for lab, _ in s.levels]
-    assert labels.count((3, 0)) == 3 and labels.count((3, 2)) == 1
+    # either sense of rotation, R = 0, and a fan past the 1% window
+    for Omega, R in ((1e11, 1e-10), (1e11, 0.0), (-1e11, 1e-10), (-3e12, 0.0), (5e13, 1e-9)):
+        rotor = coulomb_rotor(Omega, R)
+        s = rotating_coulomb_spectrum(3, rotor)
+        assert s.labels.shape == (1 + 4 + 9, 2)
+        labels = [tuple(lab) for lab in s.labels.tolist()]
+        assert labels.count((3, 0)) == 3 and labels.count((3, 2)) == 1
+        full = rotating_coulomb_spectrum(10, rotor)
+        assert full.labels.shape == (385, 2)
+        assert_levels_in_label_order(full, lambda n, m_z: rotating_coulomb_levels(n, m_z, rotor))
 
 
 def test_perturbative_warning_fires_when_fan_widens():
@@ -374,6 +411,10 @@ def test_perturbative_warning_points_at_the_caller():
         driven_shift_report(t, rotor, drive)
     for record in (undriven, driven, exact, report):
         assert [r.filename for r in record] == [__file__]
+    # a spectrum warns once per shell whose fan is too wide, here shells 2-5
+    with pytest.warns(PerturbativeRegimeWarning) as spectrum:
+        rotating_coulomb_spectrum(5, rotor)
+    assert [r.filename for r in spectrum] == [__file__] * 4
 
 
 # ---------------------------------------------------------------------------

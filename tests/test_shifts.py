@@ -394,8 +394,14 @@ def test_harmonic_speed_squared_past_the_float_range():
                  lambda: harmonic_shift_report(t, rotor)):
         with pytest.raises(OutOfRegimeError, match=r"^trap depression .*out of range"):
             call()
-    # rates whose square, and a speed ratio whose square, leave double precision
+    # rates whose square, a speed ratio whose square, and a Stark rate whose
+    # in-plane acceleration F/m leave double precision
+    huge = RotorConfig(Omega=1e150, R=1e10, model=Coulomb())
+    coulomb_t = Transition(upper=(3, 2), lower=(2, 1))
     for call, quantity in (
+            (lambda: drfs_exact(coulomb_t, huge), "Stark rate"),
+            (lambda: rotating_coulomb_levels(3, 2, huge), "Stark rate"),
+            (lambda: driven_rotating_levels(3, 2, huge, np.zeros(3)), "Stark rate"),
             (lambda: RotorConfig(Omega=1e200, R=0.0, model=Harmonic(omega0=1e13)),
              "rotation rate"),
             (lambda: RotorConfig(Omega=1e12, R=1e-10, model=Harmonic(omega0=1e200)),
