@@ -418,7 +418,7 @@ def _run_sweep(config: dict, M_override, axis: str, values) -> tuple:
             drive = dict(drive, E_V_per_m=value)
         return _transition_row(value, rotor, t, *_drive_vector(rotor, drive))
 
-    return REPORT_COLUMNS, [build(float(v)) for v in values]
+    return REPORT_COLUMNS, list(zip(*[build(float(v)) for v in values]))
 
 
 def _run_spectrum(config: dict):
@@ -444,9 +444,7 @@ def _run_spectrum(config: dict):
         numeric = np.sort(np.concatenate(pieces))
         numeric_column = "quasi_energy_first_order_J"
     columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J", numeric_column]
-    rows = [[i, *label, value, numeric_value] for i, (label, value, numeric_value) in
-            enumerate(zip(analytic.labels.tolist(), analytic.energies.tolist(), numeric.tolist()))]
-    return columns, rows
+    return columns, [np.arange(len(numeric)), *analytic.labels.T, analytic.energies, numeric]
 
 
 def _run_doppler(config: dict):
@@ -459,7 +457,7 @@ def _run_doppler(config: dict):
         omega = self_consistent_doppler(deltaE, v, np.array(block["k_direction"], dtype=float))
     rest = deltaE / CODATA2018.hbar
     columns = ["delta_E_J", "omega_rad_s", "doppler_shift_rad_s"]
-    return columns, [[deltaE, omega, omega - rest]]
+    return columns, [(deltaE,), (omega,), (omega - rest,)]
 
 
 def _run_compare_stark(config: dict):
@@ -484,7 +482,7 @@ def _run_compare_stark(config: dict):
         raise _not_finite("level_enhanced_J", "shell", n, exc) from exc
     columns = ["shell", "m_z", "level_enhanced_J", "level_reduced_J",
                "force_ratio", "force_ratio_engineering"]
-    return columns, rows
+    return columns, list(zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +494,34 @@ def _not_finite(column: str, key: str, value, reason) -> OutOfRegimeError:
     return OutOfRegimeError(f"{column} is not finite at {key} = {_fmt(value)}: {reason}")
 
 
-def _check_finite(columns, rows):
-    # every float cell must be finite; undefined ones are None, not nan
-    for row in rows:
-        for name, value in zip(columns, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise _not_finite(name, columns[0], row[0],
-                                  "the computation leaves the double-precision range")
+def _check_finite(columns, table):
+    # one check per column (None passes); names the first bad cell in row-major order
+    bad = []
+    for j, column in enumerate(table):
+        if isinstance(column, np.ndarray):
+            bad += [(i, j) for i in np.flatnonzero(~np.isfinite(column))[:1]]
+            continue
+        for i, v in enumerate(column):
+            if isinstance(v, float) and not math.isfinite(v):
+                bad.append((i, j))
+                break
+    if bad:
+        i, j = min(bad)
+        raise _not_finite(columns[j], columns[0], table[0][i],
+                          "the computation leaves the double-precision range")
 
 
-def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _render_csv(columns, table) -> str:
+    # an array column is formatted at once by its dtype; the short row-built
+    # tables keep _fmt per cell, which costs them less than forming arrays
+    cells = [map(str if c.dtype.kind == "i" else "{:.11e}".format, c.tolist())
+             if isinstance(c, np.ndarray) else map(_fmt, c) for c in table]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _render_json(command, columns, rows) -> str:
-    payload = {"command": command, "columns": columns, "rows": rows}
-    return json.dumps(payload, indent=2) + "\n"
+def _render_json(command, columns, table) -> str:
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table)))
+    return json.dumps({"command": command, "columns": columns, "rows": rows}, indent=2) + "\n"
 
 
 def _write_atomic(text: str, path: str):
@@ -544,27 +551,27 @@ def run_scenario(config: dict, command: str, out: str = None,
     # out of double precision
     with double_precision("the computation"):
         if command == "spectrum":
-            columns, rows = _run_spectrum(config)
+            columns, table = _run_spectrum(config)
         elif command == "drfs":
-            columns, rows = _run_sweep(config, M_override, "omega",
-                                       [config["rotor"]["omega_rad_s"]])
+            columns, table = _run_sweep(config, M_override, "omega",
+                                        [config["rotor"]["omega_rad_s"]])
         elif command == "doppler":
-            columns, rows = _run_doppler(config)
+            columns, table = _run_doppler(config)
         elif command == "compare-stark":
-            columns, rows = _run_compare_stark(config)
+            columns, table = _run_compare_stark(config)
         elif command == "sweep":
             sweep = config["sweep"]
-            columns, rows = _run_sweep(config, M_override, sweep["axis"],
-                                       _sweep_values(sweep))
+            columns, table = _run_sweep(config, M_override, sweep["axis"],
+                                        _sweep_values(sweep))
         else:
             raise ValidationError(f"unknown command {command!r}")
-    _check_finite(columns, rows)
+    _check_finite(columns, table)
 
     output = config.get("output") or {}
     path = out if out is not None else output.get("path")
     chosen = fmt if fmt is not None else output.get("format", "csv")
-    text = (_render_csv(columns, rows) if chosen == "csv"
-            else _render_json(command, columns, rows))
+    text = (_render_csv(columns, table) if chosen == "csv"
+            else _render_json(command, columns, table))
     if path:
         _write_atomic(text, path)
     else:

@@ -137,11 +137,11 @@ def _label_hops(labels):
     shift by `shift` stays inside the list, and the indices of the shifted
     labels; callers read occupations from labels[source].  Targets come
     from a label -> index table padded by one on each side of each label
-    component's range.
+    component's range; each range takes in 0, so an empty list has one too.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    low = labels.min(axis=0) - 1
-    table = np.full(tuple(labels.max(axis=0) - low + 2), -1, dtype=np.int64)
+    low = labels.min(axis=0, initial=0) - 1
+    table = np.full(tuple(labels.max(axis=0, initial=0) - low + 2), -1, dtype=np.int64)
     table[tuple((labels - low).T)] = np.arange(len(labels))
 
     def hop(*shift: int):
@@ -157,26 +157,26 @@ def _label_hops(labels):
 # ---------------------------------------------------------------------------
 
 
-def _ho_sectors(basis: TruncatedBasis) -> list:
-    # (indices, labels, hop) of each n_z sector, n_z ascending
+def _ho_plane(basis: TruncatedBasis):
+    # (plane, hop, lz, sectors): all (n_x, n_y) labels, sorted, their hop function,
+    # l_z over them, and (n_z, indices, cut) per n_z sector; cut picks it from the plane
     if basis.kind != "HO3D":
         raise ValidationError("oscillator operators need an HO3D basis")
-    labels = np.array(basis.labels, dtype=np.int64)
-    # not np.unique, which imports numpy.ma on its first call
-    sectors = [np.flatnonzero(labels[:, 2] == nz) for nz in sorted(set(labels[:, 2].tolist()))]
-    return [(indices, *_label_hops(labels[indices])) for indices in sectors]
-
-
-def _ho_lz(labels: np.ndarray, hop) -> np.ndarray:
-    # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>
-    L = np.zeros((len(labels), len(labels)))
-    source, target = hop(-1, 1, 0)
-    nx, ny = labels[source, 0], labels[source, 1]
-    L[target, source] = -np.sqrt(nx * (ny + 1))
-    source, target = hop(1, -1, 0)
-    nx, ny = labels[source, 0], labels[source, 1]
-    L[target, source] = -np.sqrt((nx + 1) * ny)
-    return L
+    labels = np.array(basis.labels, dtype=np.int64).reshape(-1, 3)
+    # sorted labels pass each (n_x, n_y) in one run; not np.unique, which imports numpy.ma
+    first = np.diff(labels[:, :2], axis=0, prepend=-1).any(axis=1)
+    position = np.cumsum(first) - 1
+    indices = {z: np.flatnonzero(labels[:, 2] == z) for z in sorted(set(labels[:, 2].tolist()))}
+    sectors = [(n_z, i, np.ix_(position[i], position[i])) for n_z, i in indices.items()]
+    plane, hop = _label_hops(labels[first, :2])
+    # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>; a hop by
+    # d from occupation n has the ladder factor sqrt(n + max(d, 0))
+    lz = np.zeros((len(plane), len(plane)))
+    for dx, dy in ((-1, 1), (1, -1)):
+        source, target = hop(dx, dy)
+        lz[target, source] = -np.sqrt((plane[source, 0] + max(dx, 0))
+                                      * (plane[source, 1] + max(dy, 0)))
+    return plane, hop, lz, sectors
 
 
 def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> HermitianOperator:
@@ -187,7 +187,7 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     joules.  The first two terms are diagonal, the angular-momentum term
     couples (n_x, n_y) -> (n_x -+ 1, n_y +- 1) within an oscillator shell,
     and the velocity term couples adjacent shells through p_x.  No term
-    changes n_z, so each n_z sector is assembled as its own block.
+    changes n_z, so each n_z sector's block is cut from one plane operator.
 
     The matrix is written in the gauge |n> -> i^{n_x} |n>, where every
     ladder element is real: L_z has elements -sqrt(n_x (n_y + 1)) and
@@ -201,18 +201,21 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     # dimensionless orbital velocity in trap units sqrt(hbar omega0 / m)
     vrel = rotor.v_c * sqrt(CODATA2018.electron_mass / (CODATA2018.hbar * omega0))
 
-    blocks = []
-    for indices, labels, hop in _ho_sectors(basis):
-        H = -wrel * _ho_lz(labels, hop)
-        np.fill_diagonal(H, labels.sum(axis=1) + 1.5)
-        # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
-        source, target = hop(1, 0, 0)
-        H[target, source] = -vrel * np.sqrt((labels[source, 0] + 1) / 2.0)
-        source, target = hop(-1, 0, 0)
-        H[target, source] = -vrel * np.sqrt(labels[source, 0] / 2.0)
-        H *= CODATA2018.hbar * omega0
-        blocks.append((indices, H))
-    return HermitianOperator.from_blocks(basis, blocks)
+    plane, hop, lz, sectors = _ho_plane(basis)
+    U = -wrel * lz
+    np.fill_diagonal(U, plane.sum(axis=1) + 1.5)
+    # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
+    for dx in (1, -1):
+        source, target = hop(dx, 0)
+        U[target, source] = -vrel * np.sqrt((plane[source, 0] + max(dx, 0)) / 2.0)
+    def blocks():
+        # one at a time, so that from_blocks copies each before the next is cut
+        for n_z, indices, cut in sectors:
+            H = U[cut]
+            np.fill_diagonal(H, H.diagonal() + n_z)
+            H *= CODATA2018.hbar * omega0
+            yield indices, H
+    return HermitianOperator.from_blocks(basis, blocks())
 
 
 def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
@@ -220,10 +223,10 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
 
     Written in the same real gauge |n> -> i^{n_x} |n> as
     ho_rotating_hamiltonian: the elements are -sqrt(n_x (n_y + 1)) and
-    -sqrt((n_x + 1) n_y).
+    -sqrt((n_x + 1) n_y).  Its blocks are cut from L_z over the plane.
     """
-    return HermitianOperator.from_blocks(
-        basis, [(indices, _ho_lz(labels, hop)) for indices, labels, hop in _ho_sectors(basis)])
+    _, _, lz, sectors = _ho_plane(basis)
+    return HermitianOperator.from_blocks(basis, ((i, lz[cut]) for _, i, cut in sectors))
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,29 @@ def test_non_finite_result_exits_3(tmp_path, capsys, command, config, column, wh
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table,column,where", [
+    # bad cells at (row 2, b) and (row 3, a): row-major order meets b first,
+    # a scan column by column would meet a first
+    ([np.arange(5), np.array([1.0, 2.0, 3.0, np.inf, 5.0]),
+      (0.5, None, np.nan, None, 4.5)], "b", "index = 2"),
+    # bad cells at (row 1, a), (row 1, b) and (row 0, b): row 0 comes first
+    ([np.arange(3), np.array([1.0, -np.inf, 3.0]), (np.nan, np.nan, None)],
+     "b", "index = 0"),
+    # bad cells at (row 1, a) and (row 1, b): the leftmost one is named
+    ([np.arange(3), (1.0, np.nan, None), np.array([0.0, np.inf, np.nan])],
+     "a", "index = 1"),
+], ids=["earlier-row", "first-row", "same-row"])
+def test_columnar_finite_check_names_first_cell_in_row_major_order(table, column, where):
+    with pytest.raises(rotoshift.OutOfRegimeError) as info:
+        cli._check_finite(["index", "a", "b"], table)
+    assert str(info.value).startswith(f"{column} is not finite at {where}:")
+
+
+def test_columnar_finite_check_passes_finite_and_undefined_cells():
+    cli._check_finite(["index", "a", "b"],
+                      [np.arange(3), np.array([1.0, 2.0, 3.0]), (None, 1e300, None)])
+
+
 def test_underflowing_orbital_speed_leaves_doppler_ratio_empty(tmp_path, capsys):
     config = harmonic_drfs_config(rotor={"omega_rad_s": 3e12, "radius_m": 1e-200,
                                          "omega0_rad_s": 1e13})

@@ -2,9 +2,10 @@
 
 The goldens in tests/cli_output/ are the files `rotoshift <command>
 --config <scenario> --out <file>` writes, byte for byte.  The Coulomb
-spectra are JSON, whose floats carry every bit, so a last-bit eigenvalue
-move shows.  A change that moves any byte must update the goldens on
-purpose: `PYTHONPATH=src python tests/test_cli_golden.py` rewrites them.
+spectra and one harmonic spectrum are JSON, whose floats carry every bit,
+so a last-bit eigenvalue move shows.  A change that moves any byte must
+update the goldens on purpose: `PYTHONPATH=src python
+tests/test_cli_golden.py` rewrites them.
 """
 
 import json
@@ -38,6 +39,11 @@ SCENARIOS = {
         "model": "harmonic",
         "rotor": {"omega_rad_s": 3e12, "radius_m": 1e-10, "omega0_rad_s": 1e13},
         "basis_n_max": 14}),
+    # Omega = 0.3 omega0 and v = 0.05 trap units, in JSON so every digit shows
+    "spectrum_harmonic_n12.json": ("spectrum", {
+        "model": "harmonic",
+        "rotor": {"omega_rad_s": 3e12, "radius_m": 5.67e-10, "omega0_rad_s": 1e13},
+        "basis_n_max": 12, "output": {"format": "json"}}),
     "spectrum_coulomb_n10.json": ("spectrum", _coulomb_spectrum(1e-10)),
     "spectrum_coulomb_n10_r0.json": ("spectrum", _coulomb_spectrum(0.0)),
     "sweep_omega_log.csv": ("sweep", _COULOMB_SWEEP),

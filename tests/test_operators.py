@@ -158,6 +158,63 @@ def test_oscillator_route_never_forms_the_dense_matrix():
     assert peak < basis.dimension ** 2 * 8
 
 
+def dense_ho_reference(basis, rotor):
+    """H and L_z over `basis`, entry by entry from the real-gauge ladder
+    formulas, in the operation order of the assembly so that entries agree
+    to the bit."""
+    c = CODATA2018
+    w0 = rotor.model.omega0
+    wrel = rotor.Omega / w0
+    vrel = rotor.v_c * sqrt(c.electron_mass / (c.hbar * w0))
+    scale = c.hbar * w0
+    index = {label: i for i, label in enumerate(basis.labels)}
+    H = np.zeros((basis.dimension, basis.dimension))
+    L = np.zeros_like(H)
+    for (nx, ny, nz), j in index.items():
+        H[j, j] = (nx + ny + nz + 1.5) * scale
+        for target, element, lz in (((nx - 1, ny + 1, nz), -sqrt(nx * (ny + 1)), True),
+                                    ((nx + 1, ny - 1, nz), -sqrt((nx + 1) * ny), True),
+                                    ((nx + 1, ny, nz), sqrt((nx + 1) / 2.0), False),
+                                    ((nx - 1, ny, nz), sqrt(nx / 2.0), False)):
+            if target in index:
+                H[index[target], j] = (-wrel if lz else -vrel) * element * scale
+                if lz:
+                    L[index[target], j] = element
+    return H, L
+
+
+def _subset_basis():
+    # a fixed 60 % label subset of N <= 8; the test below checks that its
+    # n_z sectors differ in their (n_x, n_y) label sets
+    rng = np.random.default_rng(2024)
+    labels = build_ho_basis(8).labels
+    return TruncatedBasis("HO3D", tuple(l for l in labels if rng.random() < 0.6))
+
+
+@pytest.mark.parametrize("basis", [
+    _subset_basis(),
+    TruncatedBasis("HO3D", tuple((nx, ny, 3) for nx in range(6) for ny in range(6 - nx))),
+    TruncatedBasis("HO3D", ()),
+], ids=["random-subset", "one-sector", "empty"])
+def test_plane_cut_blocks_match_dense_ladder_reference(basis):
+    rotor = harmonic_rotor(0.3, 0.05)
+    H, L = dense_ho_reference(basis, rotor)
+    assert np.array_equal(ho_rotating_hamiltonian(basis, rotor).matrix, H)
+    assert np.array_equal(ho_lz_matrix(basis).matrix, L)
+
+
+def test_subset_basis_sectors_differ_in_plane_labels():
+    # the premise of the random-subset case: no one sector's plane labels
+    # serve every sector
+    planes = {}
+    for nx, ny, nz in _subset_basis().labels:
+        planes.setdefault(nz, set()).add((nx, ny))
+    assert len(planes) > 1
+    assert len({frozenset(p) for p in planes.values()}) == len(planes)
+    union = set().union(*planes.values())
+    assert all(p != union for p in planes.values())
+
+
 # ---------------------------------------------------------------------------
 # rotating harmonic trap
 # ---------------------------------------------------------------------------
