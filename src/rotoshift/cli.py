@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -512,16 +513,26 @@ def _check_finite(columns, table):
 
 
 def _render_csv(columns, table) -> str:
-    # an array column is formatted at once by its dtype; the short row-built
-    # tables keep _fmt per cell, which costs them less than forming arrays
-    cells = [map(str if c.dtype.kind == "i" else "{:.11e}".format, c.tolist())
-             if isinstance(c, np.ndarray) else map(_fmt, c) for c in table]
+    if all(isinstance(c, np.ndarray) for c in table):
+        # one row format over the flattened cells; "%.11e" % x == _fmt(x) for a float
+        row = ",".join("%d" if c.dtype.kind == "i" else "%.11e" for c in table) + "\n"
+        cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in table))))
+        return ",".join(columns) + "\n" + (row * (len(table[0]) if table else 0)) % cells
+    # the short row-built tables keep _fmt per cell, which costs them less than forming arrays
+    cells = (map(_fmt, c) for c in table)
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _render_json(command, columns, table) -> str:
     rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table)))
-    return json.dumps({"command": command, "columns": columns, "rows": rows}, indent=2) + "\n"
+    # the indent=2 bytes from the C encoder: one cell per line, then the row
+    # brackets; every cell is a number or null, so "],<sep>[" only joins two rows
+    body = json.dumps(rows, separators=(",\n      ", ": "))
+    if rows:
+        body = ("[\n    [\n      " + body[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+                + "\n    ]\n  ]")
+    head = json.dumps({"command": command, "columns": columns}, indent=2)
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
 def _write_atomic(text: str, path: str):

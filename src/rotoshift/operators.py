@@ -20,7 +20,6 @@ from operator import lt
 from typing import Tuple
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .constants import CODATA2018
 from .errors import SelectionRuleError, ValidationError
@@ -96,11 +95,14 @@ class HermitianOperator:
         taken = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in blocks])
         if not np.array_equal(np.sort(taken), np.arange(basis.dimension)):
             raise ValidationError("block indices must partition the basis")
-        if not all(np.isfinite(b).all() for _, b in blocks):
+        # NaN and inf propagate into the largest |entry|, the scale; a finite
+        # complex entry whose modulus overflows is all that needs a second look
+        scales = [np.max(np.abs(b), initial=0.0) for _, b in blocks]
+        if not np.isfinite(scales).all() and not all(np.isfinite(b).all() for _, b in blocks):
             raise ValidationError("matrix entries must be finite")
-        defect = max([0.0] + [np.max(np.abs(b - b.conj().T), initial=0.0) for _, b in blocks])
-        scale = max([0.0] + [np.max(np.abs(b), initial=0.0) for _, b in blocks])
-        if defect > 1e-12 * max(scale, 1e-300):
+        defect = max([0.0] + [np.max(np.abs(b - (b.conj().T if b.dtype == complex else b.T)),
+                                     initial=0.0) for _, b in blocks])
+        if defect > 1e-12 * max(max(scales, default=0.0), 1e-300):
             raise ValidationError("matrix is not Hermitian to working precision")
         for i, b in blocks:
             i.flags.writeable = b.flags.writeable = False
@@ -115,6 +117,11 @@ def build_ho_basis(N_max: int) -> TruncatedBasis:
     """
     if not isinstance(N_max, int) or isinstance(N_max, bool) or N_max < 0:
         raise ValidationError("N_max must be a nonnegative integer")
+    return _ho_basis(N_max)
+
+
+@lru_cache(maxsize=8)
+def _ho_basis(N_max: int) -> TruncatedBasis:
     labels = [(nx, ny, nz)
               for nx in range(N_max + 1)
               for ny in range(N_max + 1 - nx)
@@ -122,11 +129,15 @@ def build_ho_basis(N_max: int) -> TruncatedBasis:
     return TruncatedBasis(kind="HO3D", labels=tuple(labels))
 
 
-def hydrogen_manifold_basis(n: int) -> TruncatedBasis:
-    """All (n, l, m_l) labels of one principal shell; dimension n^2."""
+def _shell_number(n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 10:
         raise ValidationError("principal quantum number must satisfy 1 <= n <= 10")
-    labels = [(n, l, m) for l in range(n) for m in range(-l, l + 1)]
+    return n
+
+
+def hydrogen_manifold_basis(n: int) -> TruncatedBasis:
+    """All (n, l, m_l) labels of one principal shell; dimension n^2."""
+    labels = [(n, l, m) for l in range(_shell_number(n)) for m in range(-l, l + 1)]
     return TruncatedBasis(kind="HydrogenManifold", labels=tuple(labels))
 
 
@@ -157,9 +168,11 @@ def _label_hops(labels):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def _ho_plane(basis: TruncatedBasis):
     # (plane, hop, lz, sectors): all (n_x, n_y) labels, sorted, their hop function,
-    # l_z over them, and (n_z, indices, cut) per n_z sector; cut picks it from the plane
+    # l_z over them, and (n_z, indices, cut) per n_z sector; cut picks it from the plane.
+    # They depend on the basis alone, so they are built once and shared read-only
     if basis.kind != "HO3D":
         raise ValidationError("oscillator operators need an HO3D basis")
     labels = np.array(basis.labels, dtype=np.int64).reshape(-1, 3)
@@ -167,7 +180,7 @@ def _ho_plane(basis: TruncatedBasis):
     first = np.diff(labels[:, :2], axis=0, prepend=-1).any(axis=1)
     position = np.cumsum(first) - 1
     indices = {z: np.flatnonzero(labels[:, 2] == z) for z in sorted(set(labels[:, 2].tolist()))}
-    sectors = [(n_z, i, np.ix_(position[i], position[i])) for n_z, i in indices.items()]
+    sectors = tuple((n_z, i, np.ix_(position[i], position[i])) for n_z, i in indices.items())
     plane, hop = _label_hops(labels[first, :2])
     # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>; a hop by
     # d from occupation n has the ladder factor sqrt(n + max(d, 0))
@@ -176,6 +189,8 @@ def _ho_plane(basis: TruncatedBasis):
         source, target = hop(dx, dy)
         lz[target, source] = -np.sqrt((plane[source, 0] + max(dx, 0))
                                       * (plane[source, 1] + max(dy, 0)))
+    for a in chain([plane, lz], *((i, *cut) for _, i, cut in sectors)):
+        a.flags.writeable = False
     return plane, hop, lz, sectors
 
 
@@ -234,9 +249,31 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
 # ---------------------------------------------------------------------------
 
 
+def _lagval(x, c):
+    # sum c_k L_k(x) by Clenshaw's recurrence, as numpy.polynomial.laguerre.lagval
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd = nd - 1
+        c0, c1 = c[-i] - (c1 * (nd - 1)) / nd, c0 + (c1 * ((2 * nd - 1) - x)) / nd
+    return c0 + c1 * (1 - x)
+
+
 @lru_cache(maxsize=None)
 def _laguerre_nodes(count: int):
-    return laggauss(count)
+    # numpy.polynomial.laguerre.laggauss step for step, so bit for bit, without
+    # importing numpy.polynomial's nine modules (0.7 MB resident per process)
+    c, k = np.eye(count + 1)[-1], np.arange(count)
+    companion = np.diag(2.0 * k + 1.0) + np.diag(-k[1:], 1) + np.diag(-k[1:], -1)
+    x = np.linalg.eigvalsh(companion)
+    # one Newton step; L_count' = -(L_0 + ... + L_{count-1})
+    dy, df = _lagval(x, c), _lagval(x, -np.ones(count))
+    x -= dy / df
+    fm = _lagval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w /= w.sum()
+    return x, w
 
 
 def _genlaguerre(k: int, alpha: int, x: np.ndarray) -> np.ndarray:
@@ -262,8 +299,7 @@ def radial_dipole_integral(n: int, l: int, l_prime: int) -> float:
     exact to machine precision.  With this phase convention the same-shell
     element is negative; its magnitude is (3n/2) sqrt(n^2 - l_>^2).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 10:
-        raise ValidationError("principal quantum number must satisfy 1 <= n <= 10")
+    _shell_number(n)
     for name, l_ in (("l", l), ("l_prime", l_prime)):
         if not isinstance(l_, int) or isinstance(l_, bool) or not 0 <= l_ <= n - 1:
             raise ValidationError(f"{name} must be an integer in [0, n-1]")
@@ -303,24 +339,43 @@ def manifold_position_matrices(n: int):
     commutators are exact inside the shell.  All three are Hermitian and
     vanish on the diagonal by parity; x and z are real, y purely imaginary.
     """
-    basis = hydrogen_manifold_basis(n)
-    labels, hop = _label_hops(basis.labels)
+    basis, z_hops, (source, target, lp), _, _ = _shell(_shell_number(n))
     Z = np.zeros((basis.dimension, basis.dimension))
-    for dl in (-1, 1):
-        source, target = hop(0, dl, 0)
-        l, m = labels[source, 1], labels[source, 2]
-        low = l + min(dl, 0)
-        cos = np.sqrt((low + 1 - m) * (low + 1 + m) / ((2 * low + 1) * (2 * low + 3)))
-        Z[target, source] = _radial_table(n)[l + dl, l] * cos
+    for source_z, target_z, element in z_hops:
+        Z[target_z, source_z] = element
     Lp = np.zeros_like(Z)
-    source, target = hop(0, 0, 1)
-    l, m = labels[source, 1], labels[source, 2]
-    Lp[target, source] = np.sqrt(l * (l + 1) - m * (m + 1))
+    Lp[target, source] = lp
     plus = Z @ Lp - Lp @ Z
     minus = Lp.T @ Z - Z @ Lp.T
     X = 0.5 * (plus + minus)
     Y = 0.5j * (minus - plus)
     return basis, X.astype(complex), Y, Z.astype(complex)
+
+
+@lru_cache(maxsize=None)
+def _shell(n: int):
+    # (basis, z hops, L+ hop, m_l, parity classes): what of one shell depends
+    # on n alone and grows as n^2, not n^4 like the dense matrices; each hop
+    # is (source, target, element), each class an (indices, cut) pair
+    basis = hydrogen_manifold_basis(n)
+    labels, hop = _label_hops(basis.labels)
+    z_hops = []
+    for dl in (-1, 1):
+        source, target = hop(0, dl, 0)
+        l, m = labels[source, 1], labels[source, 2]
+        low = l + min(dl, 0)
+        cos = np.sqrt((low + 1 - m) * (low + 1 + m) / ((2 * low + 1) * (2 * low + 3)))
+        z_hops.append((source, target, _radial_table(n)[l + dl, l] * cos))
+    source, target = hop(0, 0, 1)
+    l, m = labels[source, 1], labels[source, 2]
+    lp = (source, target, np.sqrt(l * (l + 1) - m * (m + 1)))
+    m_l = labels[:, 2]
+    parity = (labels[:, 1] + m_l) % 2
+    classes = tuple((i, np.ix_(i, i)) for i in (np.flatnonzero(parity == p) for p in (0, 1))
+                    if len(i))
+    for a in chain(*z_hops, lp, [m_l], *((i, *cut) for i, cut in classes)):
+        a.flags.writeable = False
+    return basis, tuple(z_hops), lp, m_l, classes
 
 
 def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> HermitianOperator:
@@ -333,15 +388,18 @@ def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> Hermitia
     if not isinstance(Z, int) or isinstance(Z, bool) or Z < 1:
         raise ValidationError("nuclear charge Z must be an integer >= 1")
     basis, X, Y, Zmat = manifold_position_matrices(n)
+    *_, m_l, classes = _shell(n)
     e = CODATA2018.elementary_charge
     length = CODATA2018.bohr_radius / Z
     Ex, Ey, Ez = (float(c) for c in fields.pseudo_E)
-    W = -e * length * (Ex * X + Ey * Y + Ez * Zmat)
     larmor = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
-    labels = np.array(basis.labels)
-    diagonal = np.arange(basis.dimension)
-    W[diagonal, diagonal] += -larmor * CODATA2018.hbar * labels[:, 2]
-    parity = (labels[:, 1] + labels[:, 2]) % 2 if Ez == 0 else np.zeros_like(diagonal)
-    # not np.unique, which imports numpy.ma
-    classes = [np.flatnonzero(parity == p) for p in sorted(set(parity.tolist()))]
-    return HermitianOperator.from_blocks(basis, [(i, W[np.ix_(i, i)]) for i in classes])
+    zeeman = -larmor * CODATA2018.hbar * m_l
+    # each block from its cut, elementwise the numbers a cut of the whole W holds;
+    # an in-plane E leaves no coupling between the classes, so none is formed
+    blocks = []
+    for i, cut in classes if Ez == 0 else [(np.arange(basis.dimension), ...)]:
+        W = -e * length * (Ex * X[cut] + Ey * Y[cut] + Ez * Zmat[cut])
+        diagonal = np.arange(len(i))
+        W[diagonal, diagonal] += zeeman[i]
+        blocks.append((i, W))
+    return HermitianOperator.from_blocks(basis, blocks)

@@ -10,6 +10,8 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotoshift
 from rotoshift import CODATA2018, Coulomb, RotorConfig, Transition, drfs_exact
@@ -567,6 +569,47 @@ def test_columnar_finite_check_passes_finite_and_undefined_cells():
                       [np.arange(3), np.array([1.0, 2.0, 3.0]), (None, 1e300, None)])
 
 
+# cells the renderers meet: signed zeros, subnormals and both ends of the range
+EDGE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                         1e-300, -1e-300, 1e300, -1e300]))
+
+
+@st.composite
+def rendered_tables(draw):
+    # int and float arrays (the spectrum tables) mixed with row-built tuples
+    # of None, ints and floats; zero rows and one row included
+    rows = draw(st.integers(0, 4))
+    cells = {"int": st.integers(-2 ** 63, 2 ** 63 - 1), "float": EDGE_FLOATS,
+             "tuple": st.one_of(st.none(), st.integers(-10 ** 20, 10 ** 20), EDGE_FLOATS)}
+    table = []
+    for kind in draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=4)):
+        values = draw(st.lists(cells[kind], min_size=rows, max_size=rows))
+        table.append(tuple(values) if kind == "tuple"
+                     else np.array(values, dtype=np.int64 if kind == "int" else float))
+    return [f"column_{j}" for j in range(len(table))], table
+
+
+RENDER_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@RENDER_SETTINGS
+@given(rendered_tables(), st.sampled_from(["spectrum", "sweep", "compare-stark"]))
+def test_render_json_is_the_indent_2_encoding(data, command):
+    columns, table = data
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in zip(*table)]
+    want = json.dumps({"command": command, "columns": columns, "rows": rows}, indent=2) + "\n"
+    assert cli._render_json(command, columns, table) == want
+
+
+@RENDER_SETTINGS
+@given(rendered_tables())
+def test_render_csv_is_fmt_per_cell(data):
+    columns, table = data
+    lines = [",".join(columns)] + [",".join(map(cli._fmt, row)) for row in zip(*table)]
+    assert cli._render_csv(columns, table) == "\n".join(lines) + "\n"
+
+
 def test_underflowing_orbital_speed_leaves_doppler_ratio_empty(tmp_path, capsys):
     config = harmonic_drfs_config(rotor={"omega_rad_s": 3e12, "radius_m": 1e-200,
                                          "omega0_rad_s": 1e13})
@@ -723,7 +766,8 @@ def test_cli_import_leaves_out_scipy():
 
 def test_spectra_leave_out_numpy_ma(tmp_path):
     # numpy.ma costs a process about 25 ms and 0.4 MB when first imported,
-    # as np.unique does; neither spectrum needs it
+    # as np.unique does, and numpy.polynomial about 0.7 MB; neither spectrum
+    # needs them
     harmonic = write_config(tmp_path, dict(harmonic_drfs_config(), basis_n_max=6), "ho.json")
     coulomb = write_config(tmp_path, coulomb_drfs_config(), "coulomb.json")
     src = os.path.dirname(os.path.dirname(rotoshift.__file__))
@@ -732,11 +776,11 @@ def test_spectra_leave_out_numpy_ma(tmp_path):
               "from rotoshift.cli import main\n"
               "for path in sys.argv[1:]:\n"
               "    assert main(['spectrum', '--config', path, '--out', path + '.csv']) == 0\n"
-              "print('numpy.ma' in sys.modules)\n")
+              "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script, harmonic, coulomb],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
     assert (tmp_path / "ho.json.csv").exists() and (tmp_path / "coulomb.json.csv").exists()
 
 

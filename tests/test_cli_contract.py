@@ -22,19 +22,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from rotoshift.cli import main
 
 BLOCKS = ("model", "rotor", "transition", "drive", "sweep", "output", "doppler",
           "basis_n_max")
 FIELD_LINE = re.compile(r"error: (--M |(%s)([./=][\w./=]*)?: )" % "|".join(BLOCKS))
-
-# hypothesis caches the constants it finds in local modules under its home
-# directory while tests are collected; keep that cache out of the working
-# tree (the directory is removed when the interpreter exits)
-_HOME = tempfile.TemporaryDirectory(prefix="rotoshift-hypothesis-")
-set_hypothesis_home_dir(_HOME.name)
 
 
 def number(typical):

@@ -346,6 +346,13 @@ def test_radial_integral_matches_closed_form():
             assert radial_dipole_integral(n, l + 1, l) == pytest.approx(got, rel=1e-12)
 
 
+def test_laguerre_nodes_are_numpys_bit_for_bit():
+    from numpy.polynomial.laguerre import laggauss
+    for count in (2, 3, 10, 80):
+        for ours, numpys in zip(operators._laguerre_nodes(count), laggauss(count)):
+            assert ours.tobytes() == numpys.tobytes()
+
+
 def test_radial_integral_known_value():
     # <2s| r |2p> = -3 sqrt(3) a0 with positive-at-origin radial phases
     assert radial_dipole_integral(2, 0, 1) == pytest.approx(-3.0 * sqrt(3.0), rel=1e-12)
@@ -370,6 +377,7 @@ def test_shell_radial_quadratures_run_once(monkeypatch):
         return radial_dipole_integral(n, l, l_prime)
     monkeypatch.setattr(operators, "radial_dipole_integral", counted)
     operators._radial_table.cache_clear()
+    operators._shell.cache_clear()
     first = manifold_position_matrices(7)
     again = manifold_position_matrices(7)
     assert len(calls) == 2 * (7 - 1)
@@ -379,6 +387,53 @@ def test_shell_radial_quadratures_run_once(monkeypatch):
     assert table[1, 0] == radial_dipole_integral(7, 0, 1)
     with pytest.raises(ValueError):
         table[1, 0] = 0.0
+
+
+def test_basis_only_arrays_are_built_once_and_read_only():
+    shell = operators._shell(4)
+    assert operators._shell(4) is shell
+    assert build_ho_basis(6) is build_ho_basis(6)
+    plane = operators._ho_plane(build_ho_basis(6))
+    assert operators._ho_plane(build_ho_basis(6)) is plane
+    _, z_hops, lp, m, classes = shell
+    labels, _, lz, sectors = plane
+    _, indices, cut = sectors[0]
+    shared = [*z_hops[0], *lp, m, classes[0][0], *classes[0][1], labels, lz, indices, *cut]
+    for a in shared:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # the dense position matrices are formed on each call, so a caller may change them
+    X = manifold_position_matrices(4)[1]
+    X[...] = 0.0
+    assert manifold_position_matrices(4)[1].any()
+
+
+def test_cached_builders_check_arguments_on_a_warm_cache():
+    # True == 1 and 2.0 == 2: a cache keyed by value could answer them from the
+    # entries of 1 and 2, so the argument checks run before the cache
+    build_ho_basis(1)
+    for bad in (True, 1.0):
+        with pytest.raises(ValidationError):
+            build_ho_basis(bad)
+    manifold_position_matrices(1)
+    manifold_position_matrices(2)
+    for bad in (True, 2.0, 0, 11):
+        with pytest.raises(ValidationError):
+            manifold_position_matrices(bad)
+
+
+def test_perturbation_blocks_bit_identical_on_cold_and_warm_cache():
+    cases = [fictitious_fields(RotorConfig(Omega=2e12, R=0.0, model=Coulomb())),
+             fictitious_fields(RotorConfig(Omega=2e12, R=1e-10, model=Coulomb())),
+             CrossedFields(pseudo_E=np.array([3e8, -1e8, 2e8]), pseudo_B=np.array([0.0, 0.0, 4.0]))]
+
+    def raw(op):
+        return [(i.tobytes(), b.tobytes()) for i, b in op.blocks], op.hermiticity_defect
+    for n in range(1, 11):
+        for fields in cases:
+            operators._shell.cache_clear()
+            cold = raw(manifold_perturbation(n, fields))
+            assert raw(manifold_perturbation(n, fields)) == cold
 
 
 def _spherical_components(n):
