@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Usage: rotoshift <command> --config <path> [--out <path>] [--format csv|json]
+Usage: rotoshift <command> --config <path> [--out <path>]
 
 Commands map one-to-one onto library operations: `spectrum` tabulates
 closed-form against numerically diagonalized quasi-energies, `drfs` reports
@@ -8,11 +8,12 @@ the rotational shift of one transition, `doppler` evaluates the moving-source
 frequency, `compare-stark` contrasts the centrifugal and drive Stark terms,
 and `sweep` scans one axis and writes a row per grid point.
 
-Configs are strict JSON; unknown fields are rejected so unit mistakes
-surface early (every numeric field name carries its unit).  Output is CSV
-(comma separated, LF endings, 12 significant digits) or JSON, written
-atomically via a temp file and rename.  Exit codes: 0 success, 2 invalid
-config or arguments, 3 computation outside its validity regime.
+The command line names files only; the config says the rest.  Configs
+are strict JSON; unknown fields are rejected so unit mistakes surface
+early (every numeric field name carries its unit).  Output is CSV (comma
+separated, LF endings, 12 significant digits) or JSON, per output.format,
+written atomically via a temp file and rename.  Exit codes: 0 success, 2
+invalid config or arguments, 3 computation outside its validity regime.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .errors import (OutOfRegimeError, ResonanceError, RotoshiftError,
                      ValidationError, double_precision)
 from .operators import (build_ho_basis, ho_rotating_hamiltonian,
                         manifold_perturbation)
-# ho_rotating_levels, driven_splitting_parameter and
-# splitting_expansion_parameter are no longer called here; they stay
+# ho_rotating_levels, rotating_coulomb_levels, driven_splitting_parameter
+# and splitting_expansion_parameter are no longer called here; they stay
 # importable for perfbench/spans.py, which wraps them by this module's name
-from .quasienergy import (driven_splitting_parameter, eigen_spectrum,
+from .quasienergy import (_bohr_level, driven_splitting_parameter, eigen_spectrum,
                           first_order_degenerate_levels,
                           driven_rotating_levels, ho_rotating_levels,
                           ho_rotating_spectrum, rotating_coulomb_levels,
@@ -340,12 +341,10 @@ def _build_rotor(config: dict) -> RotorConfig:
     return RotorConfig(Omega=omega, R=float(rotor["radius_m"]), model=model)
 
 
-def _build_transition(config: dict, M_override=None) -> Transition:
+def _build_transition(config: dict) -> Transition:
     block = config["transition"]
-    M = block.get("M")
-    if M_override is not None:
-        M = None if M_override == "auto" else int(M_override)
-    return Transition(upper=tuple(block["upper"]), lower=tuple(block["lower"]), M=M)
+    return Transition(upper=tuple(block["upper"]), lower=tuple(block["lower"]),
+                      M=block.get("M"))
 
 
 def _drive_vector(rotor: RotorConfig, drive):
@@ -403,11 +402,11 @@ def _transition_row(swept_value: float, rotor: RotorConfig, t: Transition,
             report.ratios.get("transverse_doppler"), fratio]
 
 
-def _run_sweep(config: dict, M_override, axis: str, values) -> tuple:
+def _run_sweep(config: dict, axis: str, values) -> tuple:
     # one report row per value of the swept axis; drfs is the one-point
     # omega sweep at the configured rate, which keeps the configured rotor
     rotor0 = _build_rotor(config)
-    t = _build_transition(config, M_override)
+    t = _build_transition(config)
 
     def build(value: float) -> list:
         rotor, drive = rotor0, config.get("drive")
@@ -439,7 +438,8 @@ def _run_spectrum(config: dict):
         fields = fictitious_fields(rotor)
         pieces = []
         for n in range(1, top + 1):
-            E0 = rotating_coulomb_levels(n, 0, rotor)
+            # the Bohr level: the oracle borrows no fan (nor its warning) from the closed form
+            E0 = _bohr_level(n, rotor.model.Z)
             W = manifold_perturbation(n, fields, Z=rotor.model.Z)
             pieces.append(first_order_degenerate_levels(E0, W))
         numeric = np.sort(np.concatenate(pieces))
@@ -548,8 +548,7 @@ def _write_atomic(text: str, path: str):
         raise
 
 
-def run_scenario(config: dict, command: str, out: str = None,
-                 fmt: str = None, M_override=None) -> int:
+def run_scenario(config: dict, command: str, out: str = None) -> int:
     """Validate, compute, and write one command's report; returns exit code 0.
 
     Raises ValidationError (including ConfigError) for bad inputs and
@@ -564,24 +563,21 @@ def run_scenario(config: dict, command: str, out: str = None,
         if command == "spectrum":
             columns, table = _run_spectrum(config)
         elif command == "drfs":
-            columns, table = _run_sweep(config, M_override, "omega",
-                                        [config["rotor"]["omega_rad_s"]])
+            columns, table = _run_sweep(config, "omega", [config["rotor"]["omega_rad_s"]])
         elif command == "doppler":
             columns, table = _run_doppler(config)
         elif command == "compare-stark":
             columns, table = _run_compare_stark(config)
         elif command == "sweep":
             sweep = config["sweep"]
-            columns, table = _run_sweep(config, M_override, sweep["axis"],
-                                        _sweep_values(sweep))
+            columns, table = _run_sweep(config, sweep["axis"], _sweep_values(sweep))
         else:
             raise ValidationError(f"unknown command {command!r}")
     _check_finite(columns, table)
 
     output = config.get("output") or {}
     path = out if out is not None else output.get("path")
-    chosen = fmt if fmt is not None else output.get("format", "csv")
-    text = (_render_csv(columns, table) if chosen == "csv"
+    text = (_render_csv(columns, table) if output.get("format", "csv") == "csv"
             else _render_json(command, columns, table))
     if path:
         _write_atomic(text, path)
@@ -608,11 +604,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", help="output file (default: output.path from "
                                      "the config, else stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="override the configured output format")
-        if name in ("drfs", "sweep"):
-            p.add_argument("--M", help="photon angular-momentum projection: an "
-                                       "integer, or 'auto' for m_z - m_z'")
     return parser
 
 
@@ -630,20 +621,8 @@ def main(argv=None) -> int:
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
 
-    M_override = getattr(args, "M", None)
-    if M_override not in (None, "auto"):
-        try:
-            M_ok = abs(int(M_override)) <= _MAX_INT
-        except ValueError:
-            M_ok = False
-        if not M_ok:
-            print("error: --M takes an integer of magnitude at most 2**53 or 'auto'",
-                  file=sys.stderr)
-            return 2
-
     try:
-        return run_scenario(raw, args.command, out=args.out, fmt=args.format,
-                            M_override=M_override)
+        return run_scenario(raw, args.command, out=args.out)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -121,16 +122,22 @@ def test_drfs_harmonic_all_shift_cells_zero(tmp_path, capsys):
 
 
 def test_drfs_projection_override(tmp_path, capsys):
-    path = write_config(tmp_path, coulomb_drfs_config())
-    assert main(["drfs", "--config", path, "--M", "3"]) == 0
+    def drfs(**transition):
+        config = coulomb_drfs_config()
+        config["transition"].update(transition)
+        return main(["drfs", "--config", write_config(tmp_path, config)])
+
+    assert drfs(M=3) == 0
     header, rows = parse_csv(capsys.readouterr().out)
     assert cell(header, rows[0], "M") == "3"
     kin = float(cell(header, rows[0], "kinematic_rad_s"))
     assert kin == pytest.approx(1e12 * (3 - 1), rel=1e-12)
-    assert main(["drfs", "--config", path, "--M", "auto"]) == 0
+    # M left out is the angular-momentum-conserving m_z - m_z'
+    assert drfs() == 0
     header, rows = parse_csv(capsys.readouterr().out)
     assert cell(header, rows[0], "M") == "1"
-    assert main(["drfs", "--config", path, "--M", "half"]) == 2
+    assert drfs(M="half") == 2
+    assert "error: transition.M:" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
@@ -266,6 +273,21 @@ def test_spectrum_coulomb_first_order_route(tmp_path, capsys):
     closed = np.array([float(r[3]) for r in rows])
     numeric = np.array([float(r[4]) for r in rows])
     assert np.max(np.abs(closed - numeric) / np.abs(closed)) <= 1e-9
+
+
+def test_coulomb_spectrum_past_the_one_percent_rule_warns_once(tmp_path):
+    # the closed form warns, naming the spectrum's line; the first-order
+    # oracle takes its E0 from the Bohr level and adds no second warning
+    config = coulomb_drfs_config(rotor={"omega_rad_s": 5e13, "radius_m": 1e-9},
+                                 transition={"upper": [5, 0], "lower": [1, 0]})
+    path = write_config(tmp_path, config)
+    src = os.path.dirname(os.path.dirname(rotoshift.__file__))
+    proc = subprocess.run([sys.executable, "-m", "rotoshift.cli", "spectrum",
+                           "--config", path, "--out", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("PerturbativeRegimeWarning") == 1, proc.stderr
 
 
 def test_spectrum_coulomb_needs_transition(tmp_path, capsys):
@@ -482,9 +504,10 @@ def test_non_finite_number_rejected_naming_field(tmp_path, capsys, model, comman
 
 
 def test_projection_override_beyond_float_exact_range(tmp_path, capsys):
-    path = write_config(tmp_path, coulomb_drfs_config())
-    assert main(["drfs", "--config", path, "--M", "7" * 400]) == 2
-    assert "--M" in capsys.readouterr().err
+    config = coulomb_drfs_config()
+    config["transition"]["M"] = 2 ** 53 + 1
+    assert main(["drfs", "--config", write_config(tmp_path, config)]) == 2
+    assert "error: transition.M:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", ["coulomb", "harmonic"])
@@ -704,8 +727,8 @@ def test_double_precision_range_exits_3(tmp_path, capsys, command, config, text)
 def test_slow_driven_rotation_gives_stark_fan(tmp_path, capsys, command, config, columns):
     # as the rotation slows under a drive, the fan rate hypot(Omega, omega_S)
     # tends to the Stark rate omega_S = 3 n e E / (2 m v_a), which is finite
-    assert main([command, "--format", "json",
-                 "--config", write_config(tmp_path, config)]) == 0
+    json_config = dict(config, output={"format": "json"})
+    assert main([command, "--config", write_config(tmp_path, json_config)]) == 0
     payload = json.loads(capsys.readouterr().out)
     header = payload["columns"]
     row = payload["rows"][0]
@@ -806,8 +829,8 @@ def test_drive_sweep_hits_exact_cancellation(tmp_path):
 
 
 def test_json_output_format(tmp_path, capsys):
-    path = write_config(tmp_path, coulomb_drfs_config())
-    assert main(["drfs", "--config", path, "--format", "json"]) == 0
+    path = write_config(tmp_path, coulomb_drfs_config(output={"format": "json"}))
+    assert main(["drfs", "--config", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "drfs"
     assert payload["columns"] == REPORT_COLUMNS
@@ -849,7 +872,8 @@ def test_reused_parser_is_stateless(tmp_path, capsys):
         "model": "harmonic",
         "rotor": {"omega_rad_s": 5e11, "radius_m": 2e-12, "omega0_rad_s": 1e13},
         "basis_n_max": 3}, name="spectrum.json")
-    calls = [["drfs", "--config", drfs, "--M", "3"], ["drfs", "--config", drfs],
+    out = tmp_path / "drfs.csv"
+    calls = [["drfs", "--config", drfs, "--out", str(out)], ["drfs", "--config", drfs],
              ["drfs"], ["sweep", "--config", sweep], ["spectrum", "--config", spectrum]]
 
     def run(argv):
@@ -867,7 +891,33 @@ def test_reused_parser_is_stateless(tmp_path, capsys):
     assert reused == fresh
     assert [r[0] for r in reused] == [0, 0, 2, 0, 0]
     assert "--config" in reused[2][2]
-    assert ",3," in reused[0][1] and ",1," in reused[1][1]
+    # the first call's --out does not carry over: the second writes to stdout
+    assert reused[0][1] == "" and ",1," in reused[1][1]
+    assert out.read_text() == reused[1][1]
+
+
+@pytest.mark.parametrize("command,flag", [("drfs", ["--M", "3"]),
+                                          ("sweep", ["--M", "auto"]),
+                                          ("spectrum", ["--format", "json"])])
+def test_command_line_takes_no_scenario_fields(tmp_path, capsys, command, flag):
+    # M and the output format are the config's transition.M and output.format
+    out = tmp_path / "out.csv"
+    config = sweep_config(str(out), points=4)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_config(tmp_path, config), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "drfs", "doppler", "compare-stark",
+                                     "sweep"])
+def test_help_lists_only_the_file_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert options == {"-h", "--help", "--config", "--out"}
 
 
 def test_installed_entry_point_runs(tmp_path):

@@ -1,7 +1,7 @@
 """Property test of the command-line contract over generated configs.
 
 For any config the CLI either exits 0 and writes only finite or empty
-cells, or exits 2 with every diagnostic naming a config field (or --M), or
+cells, or exits 2 with every diagnostic naming a config field, or
 exits 3; it never ends in a traceback and never leaves an output file
 behind a failure.  Sizes stay small (at most 20 sweep points, basis_n_max
 at most 6, shells at most 6); numbers are drawn from zero, tiny, typical
@@ -27,7 +27,7 @@ from rotoshift.cli import main
 
 BLOCKS = ("model", "rotor", "transition", "drive", "sweep", "output", "doppler",
           "basis_n_max")
-FIELD_LINE = re.compile(r"error: (--M |(%s)([./=][\w./=]*)?: )" % "|".join(BLOCKS))
+FIELD_LINE = re.compile(r"error: (%s)([./=][\w./=]*)?: " % "|".join(BLOCKS))
 
 
 def number(typical):
@@ -59,7 +59,9 @@ def configs(draw, command):
               "transition": {"upper": draw(level()), "lower": draw(level())},
               "output": {"format": draw(st.sampled_from(["csv", "json"]))}}
     if draw(st.booleans()):
-        config["transition"]["M"] = draw(st.integers(-3, 3))
+        # the non-integers and the integer past 2**53 must exit 2 naming transition.M
+        config["transition"]["M"] = draw(st.one_of(
+            st.integers(-3, 3), st.sampled_from(["x", 2.0, 2 ** 53 + 1])))
     if command == "compare-stark" or draw(st.booleans()):
         config["drive"] = {"E_V_per_m": draw(number(3e4)),
                            "orientation": draw(st.sampled_from(["parallel",
@@ -79,14 +81,12 @@ def configs(draw, command):
     return config
 
 
-def run(command, config, M):
+def run(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
         argv = [command, "--config", str(path), "--out", str(out)]
-        if M is not None:
-            argv += ["--M", M]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -106,9 +106,7 @@ def cells(text, fmt):
 @given(data=st.data())
 def test_cli_contract_holds_for_generated_configs(command, data):
     config = data.draw(configs(command))
-    M = data.draw(st.sampled_from([None, "auto", "2", "x"])) if command in (
-        "drfs", "sweep") else None
-    code, err, written = run(command, config, M)
+    code, err, written = run(command, config)
     assert code in (0, 2, 3), err
     if code != 0:
         assert written is None
