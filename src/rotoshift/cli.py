@@ -72,6 +72,9 @@ _DOPPLER_KEYS = {"delta_E_J", "v_m_per_s", "k_per_m", "k_direction"}
 # energy is outside every nonrelativistic formula here, and below it the
 # squares of rates stay finite.
 _MAX_RATE_RAD_S = CODATA2018.electron_mass * CODATA2018.light_speed ** 2 / CODATA2018.hbar
+# Largest accepted nuclear charge: Z alpha < 1 keeps the atomic speed
+# v_a = Z alpha c below the speed of light.
+_MAX_Z = int(1.0 / CODATA2018.fine_structure)
 # Largest table a sweep (points) or compare-stark (2n - 1 rows per shell) writes
 _MAX_ROWS = 100000
 _MAX_INT = 2 ** 53
@@ -189,8 +192,8 @@ def validate_config(raw: dict, command: str) -> dict:
         if model == "coulomb":
             if "omega0_rad_s" in rotor:
                 problems.append("rotor.omega0_rad_s: not a coulomb-model parameter")
-            if "Z" in rotor and (not _is_int(rotor["Z"]) or rotor["Z"] < 1):
-                problems.append("rotor.Z: must be an integer >= 1")
+            if "Z" in rotor and (not _is_int(rotor["Z"]) or not 1 <= rotor["Z"] <= _MAX_Z):
+                problems.append(f"rotor.Z: must be an integer from 1 to {_MAX_Z}")
 
     needs_transition = command in ("drfs", "compare-stark", "sweep") or (
         command == "spectrum" and model == "coulomb")

@@ -6,8 +6,8 @@ axis.  Matrices are assembled by index arithmetic over a label -> index
 table from exact ladder-operator or dipole matrix elements, so each stored
 entry is exact; truncation only removes couplings out of the basis.  The
 shell's x and y follow from z through the commutators with L+-.  Each
-operator is kept as the blocks an exact symmetry leaves uncoupled: the n_z
-sectors of the trap, the sigma_z-parity classes of the shell.
+operator is real symmetric and kept as the blocks an exact symmetry
+leaves uncoupled: the trap's n_z sectors, the shell's sigma_z-parity classes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import factorial, sqrt
+from math import factorial, hypot, sqrt
 from operator import lt
 from typing import Tuple
 
@@ -65,8 +65,8 @@ class TruncatedBasis:
 class HermitianOperator:
     """Hermitian operator over a labeled truncated basis, kept as the blocks
     a symmetry leaves uncoupled: (indices, block) pairs whose indices
-    partition the basis, each block a read-only dense Hermitian array over
-    its indices.  Built by from_blocks, which checks all of that.
+    partition the basis, each block a read-only dense real symmetric array
+    over its indices.  Built by from_blocks, which checks all of that.
     """
 
     basis: TruncatedBasis
@@ -77,7 +77,7 @@ class HermitianOperator:
     def matrix(self) -> np.ndarray:
         """The dense matrix, scattered from the blocks on every read."""
         dim = self.basis.dimension
-        dense = np.zeros((dim, dim), np.result_type(float, *(b for _, b in self.blocks)))
+        dense = np.zeros((dim, dim))
         for indices, block in self.blocks:
             dense[np.ix_(indices, indices)] = block
         dense.flags.writeable = False
@@ -85,23 +85,25 @@ class HermitianOperator:
 
     @classmethod
     def from_blocks(cls, basis: TruncatedBasis, blocks) -> "HermitianOperator":
-        """Operator from (indices, block) pairs whose indices partition the basis."""
-        # the casts copy, so no stored array shares memory with the caller
-        blocks = [(np.array(i, dtype=np.int64),
-                   np.array(b, dtype=complex if np.iscomplexobj(b) else float))
-                  for i, b in blocks]
+        """Operator from real (indices, block) pairs whose indices partition the basis."""
+        copied = []
+        for i, b in blocks:
+            # checked before the cast to float, which would drop an imaginary part
+            if np.iscomplexobj(b):
+                raise ValidationError("operator blocks must be real")
+            # the casts copy, so no stored array shares memory with the caller
+            copied.append((np.array(i, dtype=np.int64), np.array(b, dtype=float)))
+        blocks = copied
         if any(i.ndim != 1 or b.shape != (len(i), len(i)) for i, b in blocks):
             raise ValidationError("block dimension does not match its indices")
         taken = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in blocks])
         if not np.array_equal(np.sort(taken), np.arange(basis.dimension)):
             raise ValidationError("block indices must partition the basis")
-        # NaN and inf propagate into the largest |entry|, the scale; a finite
-        # complex entry whose modulus overflows is all that needs a second look
+        # NaN and inf propagate into the largest |entry|, the scale
         scales = [np.max(np.abs(b), initial=0.0) for _, b in blocks]
-        if not np.isfinite(scales).all() and not all(np.isfinite(b).all() for _, b in blocks):
+        if not np.isfinite(scales).all():
             raise ValidationError("matrix entries must be finite")
-        defect = max([0.0] + [np.max(np.abs(b - (b.conj().T if b.dtype == complex else b.T)),
-                                     initial=0.0) for _, b in blocks])
+        defect = max([0.0] + [np.max(np.abs(b - b.T), initial=0.0) for _, b in blocks])
         if defect > 1e-12 * max(max(scales, default=0.0), 1e-300):
             raise ValidationError("matrix is not Hermitian to working precision")
         for i, b in blocks:
@@ -328,6 +330,17 @@ def _radial_table(n: int) -> np.ndarray:
     return radial
 
 
+def _spherical_positions(n: int):
+    # (basis, x + iy, x - iy, z) of one shell, all three real
+    basis, z_hops, (source, target, lp), _, _ = _shell(_shell_number(n))
+    Z = np.zeros((basis.dimension, basis.dimension))
+    for source_z, target_z, element in z_hops:
+        Z[target_z, source_z] = element
+    Lp = np.zeros_like(Z)
+    Lp[target, source] = lp
+    return basis, Z @ Lp - Lp @ Z, Lp.T @ Z - Z @ Lp.T, Z
+
+
 def manifold_position_matrices(n: int):
     """Cartesian position matrices (x, y, z) over one shell, in a0/Z units.
 
@@ -339,17 +352,8 @@ def manifold_position_matrices(n: int):
     commutators are exact inside the shell.  All three are Hermitian and
     vanish on the diagonal by parity; x and z are real, y purely imaginary.
     """
-    basis, z_hops, (source, target, lp), _, _ = _shell(_shell_number(n))
-    Z = np.zeros((basis.dimension, basis.dimension))
-    for source_z, target_z, element in z_hops:
-        Z[target_z, source_z] = element
-    Lp = np.zeros_like(Z)
-    Lp[target, source] = lp
-    plus = Z @ Lp - Lp @ Z
-    minus = Lp.T @ Z - Z @ Lp.T
-    X = 0.5 * (plus + minus)
-    Y = 0.5j * (minus - plus)
-    return basis, X.astype(complex), Y, Z.astype(complex)
+    basis, plus, minus, Z = _spherical_positions(n)
+    return basis, 0.5 * (plus + minus), 0.5j * (minus - plus), Z
 
 
 @lru_cache(maxsize=None)
@@ -381,25 +385,21 @@ def _shell(n: int):
 def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> HermitianOperator:
     """First-order perturbation of one hydrogen shell in crossed fields, in J.
 
-    W = -e E . r - (e/2m) B_z L_z over the n^2 degenerate states.  An
-    in-plane E keeps the sigma_z parity (-1)^(l+m), so W is then kept as the
-    blocks of the two parity classes; an E with a z component gives one block.
+    W = -e E . r - (e/2m) B_z L_z over the n^2 degenerate states, written in the
+    frame turned about z that puts E's in-plane part on +x, where x and z are real:
+    W = -e a0/Z (hypot(E_x, E_y) x + E_z z) - (e B_z/2m) hbar m_l.  The turn commutes
+    with z and L_z, so the spectrum is unchanged.  An in-plane E keeps the sigma_z
+    parity (-1)^(l+m), so W is then kept as the blocks of the two parity classes;
+    an E with a z component gives one block.
     """
     if not isinstance(Z, int) or isinstance(Z, bool) or Z < 1:
         raise ValidationError("nuclear charge Z must be an integer >= 1")
-    basis, X, Y, Zmat = manifold_position_matrices(n)
+    basis, plus, minus, Zmat = _spherical_positions(n)
     *_, m_l, classes = _shell(n)
     e = CODATA2018.elementary_charge
-    length = CODATA2018.bohr_radius / Z
     Ex, Ey, Ez = (float(c) for c in fields.pseudo_E)
     larmor = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
-    zeeman = -larmor * CODATA2018.hbar * m_l
-    # each block from its cut, elementwise the numbers a cut of the whole W holds;
-    # an in-plane E leaves no coupling between the classes, so none is formed
-    blocks = []
-    for i, cut in classes if Ez == 0 else [(np.arange(basis.dimension), ...)]:
-        W = -e * length * (Ex * X[cut] + Ey * Y[cut] + Ez * Zmat[cut])
-        diagonal = np.arange(len(i))
-        W[diagonal, diagonal] += zeeman[i]
-        blocks.append((i, W))
-    return HermitianOperator.from_blocks(basis, blocks)
+    W = (-e * (CODATA2018.bohr_radius / Z) * (hypot(Ex, Ey) * (0.5 * (plus + minus)) + Ez * Zmat)
+         - np.diag(larmor * CODATA2018.hbar * m_l))
+    parts = classes if Ez == 0 else [(np.arange(basis.dimension), ...)]
+    return HermitianOperator.from_blocks(basis, [(i, W[cut]) for i, cut in parts])

@@ -65,8 +65,8 @@ class SpectrumResult:
 def eigen_spectrum(operator: HermitianOperator) -> np.ndarray:
     """All eigenvalues of a HermitianOperator, as an ascending array.
 
-    Each of the operator's blocks is diagonalized on its own.  Each
-    eigenpair is checked against the residual bound
+    Each real symmetric block of the operator is diagonalized on its own.
+    Each eigenpair is checked against the residual bound
     ||Hv - lambda v|| <= 1e-10 ||H||, with ||H|| the largest |eigenvalue|
     of the whole spectrum, dividing by ||H|| before squaring; dense
     symmetric solvers sit orders of magnitude below that, so a violation
@@ -189,12 +189,17 @@ def crossed_field_levels(n: int, m_z: int, fields: CrossedFields, Z: int = 1) ->
     -hbar m_z Omega_fan below and above the unperturbed level, where
     Omega_fan = hypot(omega_L, omega_S) takes the sign of the Larmor rate
     omega_L = e B_z / 2m (+ if it is zero) and omega_S grows as n times the
-    total in-plane electric field.
+    total electric field.  The fan is equidistant only when E is
+    perpendicular to B or either field is zero, so an E with a component
+    along a nonzero B_z is refused.
     """
     e = CODATA2018.elementary_charge
     omega_L = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
     _check_shell_numbers(n, m_z)
-    return _fan_level(n, m_z, omega_L, e * fields.total_stark_magnitude(), Z)[0]
+    E = fields.total_stark_magnitude()
+    if fields.pseudo_B[2] != 0 and abs(fields.pseudo_E[2]) > 1e-12 * E:
+        raise ValidationError("the crossed-field fan needs E perpendicular to B when B_z != 0")
+    return _fan_level(n, m_z, omega_L, e * E, Z)[0]
 
 
 def _require_coulomb(rotor: RotorConfig) -> Coulomb:

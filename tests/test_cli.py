@@ -524,6 +524,18 @@ def test_rotation_rate_beyond_compton_frequency_rejected(tmp_path, capsys, model
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("Z,code", [(137, 0), (138, 2), (500, 2)])
+def test_nuclear_charge_keeps_the_atomic_speed_below_light(tmp_path, capsys, Z, code):
+    # v_a = Z alpha c reaches c at Z alpha = 1: Z = 500 used to give a
+    # 2.5 MeV photon, past the electron rest energy
+    config = coulomb_drfs_config()
+    config["rotor"]["Z"] = Z
+    out = tmp_path / "out.csv"
+    assert main(["drfs", "--config", write_config(tmp_path, config), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert ("rotor.Z" in capsys.readouterr().err) == (code == 2)
+
+
 @pytest.mark.parametrize("axis", ["radius", "drive"])
 def test_negative_sweep_endpoint_names_the_range(tmp_path, capsys, axis):
     config = sweep_config(str(tmp_path / "out.csv"), scale="linear",

@@ -90,16 +90,16 @@ def one_block(matrix):
 
 
 def test_eigen_spectrum_simple_matrices():
-    s = eigen_spectrum(one_block(np.diag([3.0, -1.0, 2.0]).astype(complex)))
+    s = eigen_spectrum(one_block(np.diag([3.0, -1.0, 2.0])))
     assert isinstance(s, np.ndarray)
     assert np.allclose(s, [-1.0, 2.0, 3.0])
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(eigen_spectrum(one_block(flip)), [-1.0, 1.0])
 
 
 def test_eigen_spectrum_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        eigen_spectrum(one_block(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+    with pytest.raises(ValidationError, match="Hermitian"):
+        eigen_spectrum(one_block(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 def test_eigen_spectrum_refuses_anything_but_an_operator():
@@ -111,15 +111,15 @@ def test_eigen_spectrum_refuses_anything_but_an_operator():
 
 
 def interleaved_blocks():
-    # a real symmetric 3x3 block and a complex Hermitian 4x4 block, their
-    # rows and columns shuffled into each other; returns the operator over
-    # the shuffled indices and its dense matrix
+    # real symmetric 3x3 and 4x4 blocks, their rows and columns shuffled
+    # into each other; returns the operator over the shuffled indices and
+    # its dense matrix
     rng = np.random.default_rng(11)
     A = rng.normal(size=(3, 3))
-    B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    H = np.zeros((7, 7), dtype=complex)
+    B = rng.normal(size=(4, 4))
+    H = np.zeros((7, 7))
     H[:3, :3] = A + A.T
-    H[3:, 3:] = B + B.conj().T
+    H[3:, 3:] = B + B.T
     order = rng.permutation(7)
     H = H[np.ix_(order, order)]
     blocks = [(i, H[np.ix_(i, i)]) for i in (np.flatnonzero(order < 3),
@@ -147,10 +147,10 @@ def test_eigen_spectrum_residual_check_fires(monkeypatch):
 
 
 def test_first_order_levels_offset():
-    W = one_block(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
+    W = one_block(np.array([[0.0, 0.5], [0.5, 0.0]]))
     s = first_order_degenerate_levels(-2.0, W)
     assert np.allclose(s, [-2.5, -1.5])
-    zero = first_order_degenerate_levels(1.25, one_block(np.zeros((3, 3), dtype=complex)))
+    zero = first_order_degenerate_levels(1.25, one_block(np.zeros((3, 3))))
     assert np.all(zero == 1.25)
     # the level offset passes the same finiteness check as the eigenvalues
     with pytest.raises(ValidationError, match="finite"):
@@ -269,6 +269,25 @@ def test_crossed_field_validation():
         crossed_field_levels(0, 0, no_fields())
 
 
+def test_crossed_field_fan_refuses_E_along_B():
+    # E along B: the numeric m = 0 pair splits to +-7.63e-26 J at n = 2,
+    # where an equidistant fan would put both at the Bohr level
+    along = CrossedFields(pseudo_E=np.array([0.0, 0.0, 3e3]), pseudo_B=np.array([0.0, 0.0, 0.5]))
+    middle = eigen_spectrum(manifold_perturbation(2, along))[1:3]
+    assert np.allclose(middle, [-7.63e-26, 7.63e-26], rtol=1e-3)
+    tilted = CrossedFields(pseudo_E=np.array([3e3, 0.0, 1e3]), pseudo_B=np.array([0.0, 0.0, 0.5]))
+    for fields in (along, tilted):
+        with pytest.raises(ValidationError, match="perpendicular"):
+            crossed_field_levels(2, 0, fields)
+    # with no B, or E_z at rounding level, the fan holds and matches the shell
+    for E, B in (([0.0, 0.0, 3e3], 0.0), ([3e3, 0.0, 3e-10], 0.5)):
+        fields = CrossedFields(pseudo_E=np.array(E), pseudo_B=np.array([0.0, 0.0, B]))
+        closed = np.sort([crossed_field_levels(2, m, fields) - lib_bohr(2)
+                          for m in (-1, 0, 0, 1)])
+        pt = eigen_spectrum(manifold_perturbation(2, fields))
+        assert np.max(np.abs(pt - closed)) <= 1e-8 * (closed[-1] - closed[0])
+
+
 def test_closed_form_matches_perturbation_oracle():
     # random weak crossed fields: the 2n-1 closed-form sublevels with their
     # n-|m_z| multiplicities must reproduce eig(W) on the shell
@@ -366,7 +385,7 @@ def test_crossed_field_label_follows_zeeman_sign(Omega):
         E_n = lib_bohr(n)
         for i, (_, _, m_l) in enumerate(W.basis.labels):
             got = crossed_field_levels(n, m_l, fields) - E_n
-            assert got == pytest.approx(W.matrix[i, i].real, rel=1e-9,
+            assert got == pytest.approx(W.matrix[i, i], rel=1e-9,
                                         abs=1e-15 * abs(E_n))
 
 
