@@ -43,7 +43,7 @@ from .quasienergy import (_bohr_level, driven_splitting_parameter, eigen_spectru
                           ho_rotating_spectrum, rotating_coulomb_levels,
                           rotating_coulomb_spectrum,
                           splitting_expansion_parameter)
-from .rotor import (Coulomb, Harmonic, RotorConfig, drive_field_vector,
+from .rotor import (_MAX_Z, Coulomb, Harmonic, RotorConfig, drive_field_vector,
                     fictitious_fields)
 from .shifts import (ALT_SERIES_COEFFICIENT, Transition, doppler_frequency,
                      drfs_exact, drfs_series, driven_shift_report,
@@ -72,9 +72,6 @@ _DOPPLER_KEYS = {"delta_E_J", "v_m_per_s", "k_per_m", "k_direction"}
 # energy is outside every nonrelativistic formula here, and below it the
 # squares of rates stay finite.
 _MAX_RATE_RAD_S = CODATA2018.electron_mass * CODATA2018.light_speed ** 2 / CODATA2018.hbar
-# Largest accepted nuclear charge: Z alpha < 1 keeps the atomic speed
-# v_a = Z alpha c below the speed of light.
-_MAX_Z = int(1.0 / CODATA2018.fine_structure)
 # Largest table a sweep (points) or compare-stark (2n - 1 rows per shell) writes
 _MAX_ROWS = 100000
 _MAX_INT = 2 ** 53

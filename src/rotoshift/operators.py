@@ -5,7 +5,7 @@ on a circle, and a hydrogen-like atom held at fixed distance from a rotation
 axis.  Matrices are assembled by index arithmetic over a label -> index
 table from exact ladder-operator or dipole matrix elements, so each stored
 entry is exact; truncation only removes couplings out of the basis.  The
-shell's x and y follow from z through the commutators with L+-.  Each
+shell's x follows from z through the commutators with L+-.  Each
 operator is real symmetric and kept as the blocks an exact symmetry
 leaves uncoupled: the trap's n_z sectors, the shell's sigma_z-parity classes.
 """
@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from math import factorial, hypot, sqrt
 from operator import lt
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,12 +66,15 @@ class HermitianOperator:
     """Hermitian operator over a labeled truncated basis, kept as the blocks
     a symmetry leaves uncoupled: (indices, block) pairs whose indices
     partition the basis, each block a read-only dense real symmetric array
-    over its indices.  Built by from_blocks, which checks all of that.
+    over its indices.  flips holds per block None or a read-only involution f
+    of its positions with b[f][:, f] == -b.  Built by from_blocks, which checks
+    all of that.
     """
 
     basis: TruncatedBasis
     blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     hermiticity_defect: float
+    flips: Tuple[Optional[np.ndarray], ...]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -85,14 +88,17 @@ class HermitianOperator:
 
     @classmethod
     def from_blocks(cls, basis: TruncatedBasis, blocks) -> "HermitianOperator":
-        """Operator from real (indices, block) pairs whose indices partition the basis."""
-        copied = []
-        for i, b in blocks:
+        """Operator from real (indices, block) or (indices, block, flip) entries
+        whose indices partition the basis; a None flip is the same as none."""
+        copied, flips = [], []
+        for entry in blocks:
+            i, b, flip = entry if len(entry) == 3 else (*entry, None)
             # checked before the cast to float, which would drop an imaginary part
             if np.iscomplexobj(b):
                 raise ValidationError("operator blocks must be real")
             # the casts copy, so no stored array shares memory with the caller
             copied.append((np.array(i, dtype=np.int64), np.array(b, dtype=float)))
+            flips.append(None if flip is None else np.array(flip))
         blocks = copied
         if any(i.ndim != 1 or b.shape != (len(i), len(i)) for i, b in blocks):
             raise ValidationError("block dimension does not match its indices")
@@ -103,12 +109,21 @@ class HermitianOperator:
         scales = [np.max(np.abs(b), initial=0.0) for _, b in blocks]
         if not np.isfinite(scales).all():
             raise ValidationError("matrix entries must be finite")
+        tolerance = 1e-12 * max(max(scales, default=0.0), 1e-300)
         defect = max([0.0] + [np.max(np.abs(b - b.T), initial=0.0) for _, b in blocks])
-        if defect > 1e-12 * max(max(scales, default=0.0), 1e-300):
+        if defect > tolerance:
             raise ValidationError("matrix is not Hermitian to working precision")
-        for i, b in blocks:
-            i.flags.writeable = b.flags.writeable = False
-        return cls(basis=basis, blocks=tuple(blocks), hermiticity_defect=float(defect))
+        for (_, b), f in zip(blocks, flips):
+            k = np.arange(len(b))
+            # clipped, f[f] == k still holds only when f is an involution of range(len(b))
+            if f is not None and (f.dtype.kind not in "iu" or f.shape != k.shape
+                                  or not (f.take(f, mode="clip") == k).all()):
+                raise ValidationError("a block flip must be an involution of its positions")
+            if f is not None and np.abs(b.take(f, 0).take(f, 1) + b).max(initial=0.0) > tolerance:
+                raise ValidationError("a block flip must reverse the block's sign")
+        for a in chain(*blocks, (f for f in flips if f is not None)):
+            a.flags.writeable = False
+        return cls(basis, tuple(blocks), float(defect), tuple(flips))
 
 
 def build_ho_basis(N_max: int) -> TruncatedBasis:
@@ -330,56 +345,49 @@ def _radial_table(n: int) -> np.ndarray:
     return radial
 
 
-def _spherical_positions(n: int):
-    # (basis, x + iy, x - iy, z) of one shell, all three real
-    basis, z_hops, (source, target, lp), _, _ = _shell(_shell_number(n))
-    Z = np.zeros((basis.dimension, basis.dimension))
-    for source_z, target_z, element in z_hops:
-        Z[target_z, source_z] = element
-    Lp = np.zeros_like(Z)
-    Lp[target, source] = lp
-    return basis, Z @ Lp - Lp @ Z, Lp.T @ Z - Z @ Lp.T, Z
-
-
 def manifold_position_matrices(n: int):
     """Cartesian position matrices (x, y, z) over one shell, in a0/Z units.
 
     z is the radial quadrature times the cos(theta) factor
     sqrt((l< + 1 - m)(l< + 1 + m) / ((2 l< + 1)(2 l< + 3))) on each
-    l -> l +- 1 hop, l< the smaller of the two l.  x and y follow from
+    l -> l +- 1 hop, l< the smaller of the two l.  x follows from
     x + iy = -[L+, z] and x - iy = [L-, z], with L+ sqrt(l(l+1) - m(m+1))
     on the m -> m+1 hop and L- its transpose; L+- keeps n and l, so the
-    commutators are exact inside the shell.  All three are Hermitian and
-    vanish on the diagonal by parity; x and z are real, y purely imaginary.
+    commutators are exact inside the shell; y is x turned about z by 90
+    degrees, i (m' - m) x elementwise.  All three are new arrays, Hermitian,
+    and zero on the diagonal by parity; x and z are real, y purely imaginary.
     """
-    basis, plus, minus, Z = _spherical_positions(n)
-    return basis, 0.5 * (plus + minus), 0.5j * (minus - plus), Z
+    basis, x, z, m_l, _ = _shell(_shell_number(n))
+    return basis, x.copy(), 1j * (m_l - m_l[:, None]) * x, z.copy()
 
 
 @lru_cache(maxsize=None)
 def _shell(n: int):
-    # (basis, z hops, L+ hop, m_l, parity classes): what of one shell depends
-    # on n alone and grows as n^2, not n^4 like the dense matrices; each hop
-    # is (source, target, element), each class an (indices, cut) pair
+    # (basis, x, z, m_l, parity classes): what of one shell depends on n alone,
+    # built once and shared read-only; x and z take 16 n^4 bytes, 0.4 MiB for
+    # all n <= 10.  Each class is (indices, cut, flip), flip its m -> -m permutation
     basis = hydrogen_manifold_basis(n)
     labels, hop = _label_hops(basis.labels)
-    z_hops = []
+    z = np.zeros((basis.dimension, basis.dimension))
+    Lp = np.zeros_like(z)
     for dl in (-1, 1):
         source, target = hop(0, dl, 0)
         l, m = labels[source, 1], labels[source, 2]
         low = l + min(dl, 0)
         cos = np.sqrt((low + 1 - m) * (low + 1 + m) / ((2 * low + 1) * (2 * low + 3)))
-        z_hops.append((source, target, _radial_table(n)[l + dl, l] * cos))
+        z[target, source] = _radial_table(n)[l + dl, l] * cos
     source, target = hop(0, 0, 1)
     l, m = labels[source, 1], labels[source, 2]
-    lp = (source, target, np.sqrt(l * (l + 1) - m * (m + 1)))
-    m_l = labels[:, 2]
-    parity = (labels[:, 1] + m_l) % 2
-    classes = tuple((i, np.ix_(i, i)) for i in (np.flatnonzero(parity == p) for p in (0, 1))
-                    if len(i))
-    for a in chain(*z_hops, lp, [m_l], *((i, *cut) for i, cut in classes)):
+    Lp[target, source] = np.sqrt(l * (l + 1) - m * (m + 1))
+    x = 0.5 * ((z @ Lp - Lp @ z) + (Lp.T @ z - z @ Lp.T))
+    # (l, -m) sits at l(l + 1) - m, in the same class as (l, m)
+    l, m_l = labels[:, 1], labels[:, 2]
+    mirror, parity = l * (l + 1) - m_l, (l + m_l) % 2
+    classes = tuple((i, np.ix_(i, i), np.searchsorted(i, mirror[i]))
+                    for i in (np.flatnonzero(parity == p) for p in (0, 1)) if len(i))
+    for a in chain([x, z, m_l], *((i, *cut, flip) for i, cut, flip in classes)):
         a.flags.writeable = False
-    return basis, tuple(z_hops), lp, m_l, classes
+    return basis, x, z, m_l, classes
 
 
 def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> HermitianOperator:
@@ -389,17 +397,17 @@ def manifold_perturbation(n: int, fields: CrossedFields, Z: int = 1) -> Hermitia
     frame turned about z that puts E's in-plane part on +x, where x and z are real:
     W = -e a0/Z (hypot(E_x, E_y) x + E_z z) - (e B_z/2m) hbar m_l.  The turn commutes
     with z and L_z, so the spectrum is unchanged.  An in-plane E keeps the sigma_z
-    parity (-1)^(l+m), so W is then kept as the blocks of the two parity classes;
-    an E with a z component gives one block.
+    parity (-1)^(l+m), so W is then kept as the blocks of the two parity classes,
+    each with its m -> -m permutation as flip: x and L_z are odd under x -> -x, so
+    W changes sign.  An E with a z component gives one block and no flip.
     """
     if not isinstance(Z, int) or isinstance(Z, bool) or Z < 1:
         raise ValidationError("nuclear charge Z must be an integer >= 1")
-    basis, plus, minus, Zmat = _spherical_positions(n)
-    *_, m_l, classes = _shell(n)
+    basis, x, z, m_l, classes = _shell(_shell_number(n))
     e = CODATA2018.elementary_charge
     Ex, Ey, Ez = (float(c) for c in fields.pseudo_E)
     larmor = e * float(fields.pseudo_B[2]) / (2.0 * CODATA2018.electron_mass)
-    W = (-e * (CODATA2018.bohr_radius / Z) * (hypot(Ex, Ey) * (0.5 * (plus + minus)) + Ez * Zmat)
+    W = (-e * (CODATA2018.bohr_radius / Z) * (hypot(Ex, Ey) * x + Ez * z)
          - np.diag(larmor * CODATA2018.hbar * m_l))
-    parts = classes if Ez == 0 else [(np.arange(basis.dimension), ...)]
-    return HermitianOperator.from_blocks(basis, [(i, W[cut]) for i, cut in parts])
+    parts = classes if Ez == 0 else [(np.arange(basis.dimension), ..., None)]
+    return HermitianOperator.from_blocks(basis, [(i, W[cut], flip) for i, cut, flip in parts])

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import copysign, hypot, isfinite
+from functools import lru_cache
+from math import copysign, hypot, isfinite, sqrt
 from typing import Tuple
 
 import numpy as np
@@ -62,11 +63,41 @@ class SpectrumResult:
         return float(self.energies[hits[0]])
 
 
+@lru_cache(maxsize=64)
+def _flip_bases(flip: tuple):
+    # (P, M, T) of a flip with p pairs, built once, read-only: P's columns are e_k + e_f(k)
+    # for each pair k < f(k), or e_k for a fixed k, and M's e_k - e_f(k), all normalized;
+    # T takes [P U, M V] to (P u_j + M v_j)/sqrt(2), (P u_j - M v_j)/sqrt(2), j < p, and P u_j
+    flip = np.array(flip)
+    k, eye, swap = np.arange(len(flip)), np.eye(len(flip)), np.eye(len(flip))[flip]
+    P = np.maximum(eye, swap)[:, k <= flip]
+    P /= np.sqrt(P.sum(axis=0))
+    M = (eye - swap)[:, k < flip] * sqrt(0.5)
+    p, d, j = M.shape[1], P.shape[1], np.arange(M.shape[1])
+    T = np.zeros_like(eye)
+    T[j, j] = T[j, p + j] = T[d + j, j] = sqrt(0.5)
+    T[d + j, p + j] = -sqrt(0.5)
+    T[np.arange(p, d), np.arange(2 * p, len(k))] = 1.0
+    P.flags.writeable = M.flags.writeable = T.flags.writeable = False
+    return P, M, T
+
+
+def _flip_eigh(block: np.ndarray, flip: np.ndarray):
+    # eigenpairs of a block with b[flip][:, flip] == -b by an SVD of half its size: b maps
+    # P (flip +1) onto M (flip -1) and back, so B = P^T b M holds all of it; B = U S V^T
+    # gives the pairs +-s, and a zero for each column of P beyond those of M
+    P, M, T = _flip_bases(tuple(flip.tolist()))
+    U, s, Vt = np.linalg.svd(P.T @ block @ M)
+    vecs = np.concatenate([P @ U, M @ Vt.T], axis=1) @ T
+    return np.concatenate([s, -s, np.zeros(len(flip) - 2 * len(s))]), vecs
+
+
 def eigen_spectrum(operator: HermitianOperator) -> np.ndarray:
     """All eigenvalues of a HermitianOperator, as an ascending array.
 
-    Each real symmetric block of the operator is diagonalized on its own.
-    Each eigenpair is checked against the residual bound
+    Each real symmetric block of the operator is diagonalized on its own,
+    by eigh or, given a flip, by an SVD of half its size.  Each eigenpair is
+    checked on the block itself against the residual bound
     ||Hv - lambda v|| <= 1e-10 ||H||, with ||H|| the largest |eigenvalue|
     of the whole spectrum, dividing by ||H|| before squaring; dense
     symmetric solvers sit orders of magnitude below that, so a violation
@@ -74,7 +105,8 @@ def eigen_spectrum(operator: HermitianOperator) -> np.ndarray:
     """
     if not isinstance(operator, HermitianOperator):
         raise ValidationError(f"expected a HermitianOperator, got {type(operator).__name__}")
-    solved = [(block,) + tuple(np.linalg.eigh(block)) for _, block in operator.blocks]
+    solved = [(block,) + tuple(np.linalg.eigh(block) if flip is None else _flip_eigh(block, flip))
+              for (_, block), flip in zip(operator.blocks, operator.flips)]
     vals = np.sort(np.concatenate([np.zeros(0)] + [v for _, v, _ in solved]))
     norm = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
     for block, v, vecs in solved:
@@ -210,7 +242,8 @@ def _require_coulomb(rotor: RotorConfig) -> Coulomb:
 
 def _turntable_force(rotor: RotorConfig, drive_E) -> Tuple[float, int]:
     # (F, Z) on the turntable, where omega_L = Omega and the in-plane force
-    # is F = |m Omega^2 R rhat + e E|; no drive keeps to scalar arithmetic
+    # is F = |m Omega^2 R rhat + e E|; no drive keeps to scalar arithmetic.  The
+    # fan is equidistant only for a force perpendicular to B_z, so E_z is refused
     model = _require_coulomb(rotor)
     m = CODATA2018.electron_mass
     if drive_E is None:
@@ -218,6 +251,8 @@ def _turntable_force(rotor: RotorConfig, drive_E) -> Tuple[float, int]:
     drive = np.asarray(drive_E, dtype=float)
     if drive.shape != (3,) or not np.all(np.isfinite(drive)):
         raise ValidationError("drive field must be a finite 3-vector")
+    if abs(drive[2]) > 1e-12 * hypot(*drive):
+        raise ValidationError("the turntable fan needs a drive field in the orbit plane")
     if rotor.Omega == 0.0 and np.any(drive != 0.0):
         raise ValidationError("drive field with zero rotation leaves the "
                               "quasi-energy frame undefined")
@@ -246,9 +281,9 @@ def driven_splitting_parameter(n: int, rotor: RotorConfig, drive_E) -> float:
     """Splitting parameter with a genuine drive field folded in.
 
     x = 3 n |m Omega^2 R + e E| / (2 m v_a |Omega|), the vector sum taken
-    between the centrifugal term along the orbit vector and the drive.
-    Zero rotation with a nonzero drive has no quasi-energy frame and is
-    rejected; zero rotation with zero drive gives x = 0.
+    between the centrifugal term along the orbit vector and the drive, which
+    must lie in the orbit plane.  Zero rotation with a nonzero drive has no
+    quasi-energy frame and is rejected; zero rotation with zero drive gives x = 0.
     """
     force, Z = _turntable_force(rotor, drive_E)
     omega_S = _fan_rate(n, rotor.Omega, force, Z)[1]
@@ -261,7 +296,8 @@ def driven_rotating_levels(n: int, m_z: int, rotor: RotorConfig, drive_E) -> flo
     The drive adds vectorially to the centrifugal term, so depending on the
     orientation it deepens the splitting or cancels it; an antiparallel
     drive with eE = m Omega^2 R collapses the root to exactly 1.  As Omega
-    goes to zero under a drive, the fan tends to the Stark fan.
+    goes to zero under a drive, the fan tends to the Stark fan.  A drive with a
+    component along the rotation axis is refused: the fan is then not equidistant.
     """
     force, Z = _turntable_force(rotor, drive_E)
     _check_shell_numbers(n, m_z)

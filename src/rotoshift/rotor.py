@@ -26,6 +26,9 @@ RESONANCE_TOLERANCE = 1e-6
 # Largest rotation or trap rate (rad/s) whose square double precision holds;
 # the level formulas square both, so a faster rate is rejected where it enters.
 _MAX_SQUARABLE_RATE = sqrt(sys.float_info.max)
+# Largest nuclear charge: Z alpha < 1 keeps the atomic speed v_a = Z alpha c
+# below the speed of light.
+_MAX_Z = int(1.0 / CODATA2018.fine_structure)
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,9 @@ class Coulomb:
     def __post_init__(self):
         if not isinstance(self.Z, int) or isinstance(self.Z, bool) or self.Z < 1:
             raise ValidationError("nuclear charge Z must be an integer >= 1")
+        if self.Z > _MAX_Z:
+            raise ValidationError(f"nuclear charge Z must be at most {_MAX_Z}, "
+                                  "where the atomic speed Z alpha c stays below c")
 
 
 @dataclass(frozen=True)

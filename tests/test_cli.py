@@ -1,6 +1,7 @@
 """End-to-end command-line checks: schemas, exit codes, file handling."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import rotoshift
 from rotoshift import CODATA2018, Coulomb, RotorConfig, Transition, drfs_exact
-from rotoshift import cli, quasienergy
+from rotoshift import cli, operators, quasienergy
 from rotoshift.cli import REPORT_COLUMNS, main
 
 C = CODATA2018
@@ -329,6 +330,63 @@ def test_spectrum_basis_cap(tmp_path, capsys):
     }
     assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 2
     assert "basis_n_max" in capsys.readouterr().err
+
+
+class _Recorded(np.ndarray):
+    """An array that logs the multiply-adds of each matrix product it enters,
+    and passes itself on to every array computed from it."""
+
+    macs = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Recorded) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Recorded) else x
+                                  for x in kwargs["out"])
+        if ufunc is np.matmul:
+            a, b = plain[:2]
+            _Recorded.macs.append(np.size(a) * (np.shape(b)[-1] if np.ndim(b) > 1 else 1))
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(_Recorded) if type(result) is np.ndarray else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        # np.concatenate and its kin return plain arrays; keep the log going through them
+        result = super().__array_function__(func, types, args, kwargs)
+        return result.view(_Recorded) if type(result) is np.ndarray else result
+
+
+@pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
+def test_coulomb_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkeypatch):
+    # numpy's bundled OpenBLAS (0.3.31) runs a matrix product on one thread
+    # below 64^3 multiply-adds, and its eigensolvers wake a second thread
+    # from about 32 states; a top-10 Coulomb spectrum must stay below both
+    config = coulomb_drfs_config(transition={"upper": [10, 0], "lower": [1, 0]})
+    argv = ["spectrum", "--config", write_config(tmp_path, config),
+            "--out", str(tmp_path / "out.csv")]
+    # the first call per process forms each shell's x from four n^2 x n^2 products
+    assert main(argv) == 0
+    rows = []
+    for name in ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+                 "lstsq", "pinv", "qr", "slogdet", "solve", "svd", "svdvals"):
+        def factorize(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, factorize)
+    # every array the shell cache hands out, and every operator block, logs its products
+    shell = operators._shell
+    monkeypatch.setattr(operators, "_shell", lambda n: tuple(
+        a.view(_Recorded) if type(a) is np.ndarray and a.ndim == 2 else a for a in shell(n)))
+    from_blocks = operators.HermitianOperator.from_blocks.__func__
+
+    def logged(cls, basis, blocks):
+        op = from_blocks(cls, basis, blocks)
+        return dataclasses.replace(op, blocks=tuple((i, b.view(_Recorded)) for i, b in op.blocks))
+    monkeypatch.setattr(operators.HermitianOperator, "from_blocks", classmethod(logged))
+    _Recorded.macs.clear()
+    assert main(argv) == 0
+    # two parity blocks per shell above the first, each solved by one SVD
+    assert len(rows) == 19 and max(rows) <= 30
+    assert _Recorded.macs and max(_Recorded.macs) < 64 ** 3
 
 
 # ---------------------------------------------------------------------------

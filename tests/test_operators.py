@@ -140,6 +140,42 @@ def test_block_constructor_validates_and_freezes():
             HermitianOperator.from_blocks(basis, [([0, 1], block), ([2, 3], sym)])
 
 
+def test_block_flip_is_checked_and_frozen():
+    basis = build_ho_basis(1)  # 4 states
+    # b[f][:, f] == -b for f swapping positions 0 and 1 and fixing 2
+    odd = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, -2.0], [2.0, -2.0, 0.0]])
+    flip = [1, 0, 2]
+    op = HermitianOperator.from_blocks(basis, [([0, 1, 2], odd, flip), ([3], [[5.0]])])
+    assert op.flips[0].tolist() == flip and op.flips[1] is None
+    with pytest.raises(ValueError):
+        op.flips[0][0] = 0
+    assert np.array_equal(op.matrix[:3, :3], odd)
+    # a None flip is the same as none
+    plain = HermitianOperator.from_blocks(basis, [([0, 1, 2], odd, None), ([3], [[5.0]])])
+    assert plain.flips == (None, None)
+    bad_flips = ([1, 2, 0],          # a permutation, not an involution
+                 [1, 0],             # wrong length
+                 [1, 0, 3],          # outside the block
+                 [-2, 0, 2],         # negative
+                 [1.0, 0.0, 2.0],    # not integers
+                 [[1, 0, 2]])        # not one row
+    for bad in bad_flips:
+        with pytest.raises(ValidationError, match="involution"):
+            HermitianOperator.from_blocks(basis, [([0, 1, 2], odd, bad), ([3], [[5.0]])])
+    # the flip must reverse the block's sign, to 1e-12 of the largest entry
+    even = odd.copy()
+    even[1, 1] = 1.0
+    for block, bad in ((odd, [0, 1, 2]), (even, flip)):
+        with pytest.raises(ValidationError, match="sign"):
+            HermitianOperator.from_blocks(basis, [([0, 1, 2], block, bad), ([3], [[0.0]])])
+    # a fixed position's diagonal entry must vanish
+    with pytest.raises(ValidationError, match="sign"):
+        HermitianOperator.from_blocks(basis, [([0, 1, 2], odd, flip), ([3], [[5.0]], [0])])
+    near = odd.copy()
+    near[1, 1] = -1.0 - 1e-14
+    HermitianOperator.from_blocks(basis, [([0, 1, 2], near, flip), ([3], [[0.0]])])
+
+
 def test_oscillator_blocks_are_the_nz_sectors_and_match_the_dense_route():
     basis = build_ho_basis(8)
     op = ho_rotating_hamiltonian(basis, harmonic_rotor(0.3, 0.05))
@@ -401,17 +437,18 @@ def test_basis_only_arrays_are_built_once_and_read_only():
     assert build_ho_basis(6) is build_ho_basis(6)
     plane = operators._ho_plane(build_ho_basis(6))
     assert operators._ho_plane(build_ho_basis(6)) is plane
-    _, z_hops, lp, m, classes = shell
+    _, x, z, m, classes = shell
     labels, _, lz, sectors = plane
     _, indices, cut = sectors[0]
-    shared = [*z_hops[0], *lp, m, classes[0][0], *classes[0][1], labels, lz, indices, *cut]
+    i, (rows, cols), flip = classes[0]
+    shared = [x, z, m, i, rows, cols, flip, labels, lz, indices, *cut]
     for a in shared:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
-    # the dense position matrices are formed on each call, so a caller may change them
-    X = manifold_position_matrices(4)[1]
-    X[...] = 0.0
-    assert manifold_position_matrices(4)[1].any()
+    # the position matrices are handed out as new arrays, so a caller may change them
+    _, X, Y, Z = manifold_position_matrices(4)
+    X[...] = Y[...] = Z[...] = 0.0
+    assert all(a.any() for a in manifold_position_matrices(4)[1:])
 
 
 def test_cached_builders_check_arguments_on_a_warm_cache():
@@ -563,12 +600,15 @@ def test_shell_blocks_are_the_parity_classes_and_drop_nothing(n):
     labels = np.array(hydrogen_manifold_basis(n).labels)
     parity = (labels[:, 1] + labels[:, 2]) % 2
     classes = [np.flatnonzero(parity == p) for p in (0, 1) if np.any(parity == p)]
+    in_plane = np.append(np.random.default_rng(n).normal(size=2) * 1e8, 0.0)
     cases = [
         (fictitious_fields(RotorConfig(Omega=2e12, R=1e-10, model=Coulomb())), classes),
         # R = 0: W is diagonal, and still kept as the two parity blocks
         (fictitious_fields(RotorConfig(Omega=2e12, R=0.0, model=Coulomb())), classes),
         (CrossedFields(pseudo_E=np.array([3e8, -1e8, 0.0]), pseudo_B=np.array([0.0, 0.0, 4.0])),
          classes),
+        (CrossedFields(pseudo_E=in_plane, pseudo_B=np.zeros(3)), classes),
+        (CrossedFields(pseudo_E=np.zeros(3), pseudo_B=np.zeros(3)), classes),
         (CrossedFields(pseudo_E=np.array([3e8, -1e8, 2e8]), pseudo_B=np.array([0.0, 0.0, 4.0])),
          [np.arange(n * n)]),
     ]
@@ -576,6 +616,10 @@ def test_shell_blocks_are_the_parity_classes_and_drop_nothing(n):
         op = manifold_perturbation(n, fields)
         assert [i.tolist() for i, _ in op.blocks] == [i.tolist() for i in want]
         assert all(b.dtype == np.float64 for _, b in op.blocks)
+        # an in-plane E gives each parity block its m -> -m permutation as flip
+        for (i, _), flip in zip(op.blocks, op.flips):
+            assert (np.array_equal(labels[i[flip]], labels[i] * [1, 1, -1])
+                    if fields.pseudo_E[2] == 0 else flip is None)
         Ex, Ey, Ez = fields.pseudo_E
         zeeman = np.diag(c.elementary_charge * fields.pseudo_B[2] / (2.0 * c.electron_mass)
                          * c.hbar * labels[:, 2])
@@ -586,6 +630,11 @@ def test_shell_blocks_are_the_parity_classes_and_drop_nothing(n):
         got = eigen_spectrum(op)
         exact = np.linalg.eigvalsh(op.matrix)
         assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+        # the flip's fixed positions, the n states with m = 0, give the fan's zero
+        # level exactly; with no field at all every level is zero
+        if fields.pseudo_E[2] == 0:
+            field = np.any(fields.pseudo_E) or fields.pseudo_B[2]
+            assert np.count_nonzero(got == 0.0) == (n if field else n * n)
         # the turn is a unitary similarity: W with complex y, unturned, has the same spectrum
         unturned = -c.elementary_charge * c.bohr_radius * (Ex * X + Ey * Y + Ez * Zm) - zeeman
         exact = np.linalg.eigvalsh(unturned)

@@ -146,6 +146,49 @@ def test_eigen_spectrum_residual_check_fires(monkeypatch):
         eigen_spectrum(interleaved_blocks()[0])
 
 
+def flip_block(rng, pairs, fixed):
+    """A random symmetric block with b[flip][:, flip] == -b, and its flip: an
+    involution with the given numbers of swapped pairs and fixed positions,
+    shuffled over the positions."""
+    dim = 2 * pairs + fixed
+    order = rng.permutation(dim)
+    flip = np.arange(dim)
+    flip[order[:pairs]], flip[order[pairs:2 * pairs]] = order[pairs:2 * pairs], order[:pairs]
+    A = rng.normal(size=(dim, dim))
+    A = A + A.T
+    return 0.5 * (A - A[np.ix_(flip, flip)]), flip
+
+
+@pytest.mark.parametrize("pairs, fixed", [(0, 1), (0, 3), (1, 0), (1, 1), (4, 0), (4, 3),
+                                          (3, 7), (25, 5)])
+def test_flip_route_matches_eigh_for_random_sign_flipping_blocks(pairs, fixed):
+    rng = np.random.default_rng(100 * pairs + fixed)
+    b, flip = flip_block(rng, pairs, fixed)
+    op = HermitianOperator.from_blocks(line_basis(len(b)), [(np.arange(len(b)), b, flip)])
+    got = eigen_spectrum(op)
+    want = np.linalg.eigvalsh(b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+    # the symmetry's zero modes come out exactly zero: one per fixed position
+    # beyond the pairs, and these blocks have no others
+    assert np.count_nonzero(got == 0.0) == fixed
+    vals, vecs = quasienergy._flip_eigh(op.blocks[0][1], op.flips[0])
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(b)))) <= 1e-14
+    assert np.max(np.abs(b @ vecs - vecs * vals)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+
+def test_flip_route_residual_check_fires(monkeypatch):
+    svd = np.linalg.svd
+
+    def perturbed(matrix):
+        U, s, Vt = svd(matrix)
+        return U + 1e-6, s, Vt
+    monkeypatch.setattr(quasienergy.np.linalg, "svd", perturbed)
+    b, flip = flip_block(np.random.default_rng(3), 3, 2)
+    op = HermitianOperator.from_blocks(line_basis(len(b)), [(np.arange(len(b)), b, flip)])
+    with pytest.raises(RotoshiftError, match="residual"):
+        eigen_spectrum(op)
+
+
 def test_first_order_levels_offset():
     W = one_block(np.array([[0.0, 0.5], [0.5, 0.0]]))
     s = first_order_degenerate_levels(-2.0, W)
@@ -478,6 +521,17 @@ def test_driven_zero_rotation():
 
 def test_driven_validation():
     r = coulomb_rotor(1e9, 5e-11)
+    # a drive along the rotation axis breaks the equidistant fan: at n = 2 the
+    # shell's W gives +-7.63e-26 and +-1.05e-25 J, the fan would give +-1.30e-25 J
+    along_z = np.array([0.0, 0.0, 3e3])
+    for tilted in (along_z, along_z + [1e3, 0.0, 0.0]):
+        with pytest.raises(ValidationError, match="orbit plane"):
+            driven_rotating_levels(2, 1, coulomb_rotor(1e9, 1e-9), tilted)
+        with pytest.raises(ValidationError, match="orbit plane"):
+            driven_splitting_parameter(2, r, tilted)
+    # a z component within rounding of the in-plane drive passes
+    assert driven_splitting_parameter(2, r, np.array([3e3, 0.0, 3e-10])) == \
+        driven_splitting_parameter(2, r, np.array([3e3, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         driven_splitting_parameter(2, r, np.array([np.inf, 0.0, 0.0]))
     with pytest.raises(ValidationError):

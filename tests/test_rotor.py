@@ -23,6 +23,11 @@ def test_model_validation():
     with pytest.raises(ValidationError):
         Coulomb(Z=0)
     Coulomb(Z=2)
+    # Z alpha < 1 keeps the atomic speed below c: Z = 137 is the largest charge
+    Coulomb(Z=137)
+    for Z in (138, 500):
+        with pytest.raises(ValidationError, match="at most 137"):
+            Coulomb(Z=Z)
 
 
 def test_rotor_validation():
