@@ -13,17 +13,21 @@ are strict JSON; unknown fields are rejected so unit mistakes surface
 early (every numeric field name carries its unit).  Output is CSV (comma
 separated, LF endings, 12 significant digits) or JSON, per output.format,
 written atomically via a temp file and rename.  Exit codes: 0 success, 2
-invalid config or arguments, 3 computation outside its validity regime.
+invalid config or arguments, an unreadable config or an unwritable output,
+3 computation outside its validity regime.  Each command computes with
+numpy's bundled OpenBLAS on one thread and gives the caller's thread count
+back when it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import sys
-import tempfile
+import threading
 from functools import lru_cache
 from itertools import chain
 
@@ -535,9 +539,73 @@ def _render_json(command, columns, table) -> str:
     return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships and has
+    loaded, or None.  Looked up on the first command, not at import: the
+    `*openblas*` files of numpy's vendored-library directories are opened
+    only if already loaded, so no second copy comes in."""
+    noload = getattr(os, "RTLD_NOLOAD", None)  # not on Windows
+    if noload is None:
+        return None
+    package = os.path.dirname(np.__file__)
+    for directory in (os.path.join(os.path.dirname(package), "numpy.libs"),
+                      os.path.join(package, ".dylibs")):
+        names = sorted(os.listdir(directory)) if os.path.isdir(directory) else []
+        for name in (n for n in names if "openblas" in n):
+            try:
+                lib = ctypes.CDLL(os.path.join(directory, name), mode=noload)
+            except OSError:
+                continue
+            for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                                   ("openblas_", "")):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Runs its block with numpy's bundled OpenBLAS on one thread and gives the
+    caller's count back on the way out.  From about 30 states up a harmonic
+    eigh block wakes a second BLAS thread, which doubles its CPU time for no
+    gain in wall time.  The count is process-wide, so blocks entered from
+    several threads share one pin: the first in sets it, the last out restores."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._caller = None
+
+    def __enter__(self):
+        threads = _openblas_threads()
+        with self._lock:
+            if threads is not None and self._depth == 0:
+                self._caller = threads[0]()
+                threads[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        threads = _openblas_threads()
+        with self._lock:
+            self._depth -= 1
+            if threads is not None and self._depth == 0:
+                threads[1](self._caller)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _write_atomic(text: str, path: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".rotoshift-", dir=directory)
+    # created exclusively beside the target with mode 0o666, so that the
+    # umask sets the file's mode as it would for open(path, "w"); 96 random
+    # bits make a clash with another name as unlikely as guessing it
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".rotoshift-{os.urandom(12).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
@@ -551,15 +619,16 @@ def _write_atomic(text: str, path: str):
 def run_scenario(config: dict, command: str, out: str = None) -> int:
     """Validate, compute, and write one command's report; returns exit code 0.
 
-    Raises ValidationError (including ConfigError) for bad inputs and
-    OutOfRegimeError or ResonanceError when the computation leaves its
-    validity window; main() maps those onto exit codes 2 and 3.
+    Raises ValidationError (including ConfigError) for bad inputs and an
+    output path that cannot be written, and OutOfRegimeError or
+    ResonanceError when the computation leaves its validity window; main()
+    maps those onto exit codes 2 and 3.
     """
     config = validate_config(config, command)
     # a division by a product that underflowed to zero, or a square past the
     # float range, that no library function names: like a non-finite cell,
     # out of double precision
-    with double_precision("the computation"):
+    with _one_blas_thread, double_precision("the computation"):
         if command == "spectrum":
             columns, table = _run_spectrum(config)
         elif command == "drfs":
@@ -580,7 +649,10 @@ def run_scenario(config: dict, command: str, out: str = None) -> int:
     text = (_render_csv(columns, table) if output.get("format", "csv") == "csv"
             else _render_json(command, columns, table))
     if path:
-        _write_atomic(text, path)
+        try:
+            _write_atomic(text, path)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -611,9 +683,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        with open(args.config) as handle:
+        # JSON's encoding, whatever the locale's
+        with open(args.config, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -6,8 +6,11 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
+import threading
+import time
 from math import pi
 
 import numpy as np
@@ -202,6 +205,35 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model": "harm\xffonic"}')
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+@pytest.mark.parametrize("target", ["missing/report.csv", "directory"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    out = str(tmp_path / target)
+    argv = ["drfs", "--config", write_config(tmp_path, coulomb_drfs_config()), "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output {out}: ")
+    assert not list(tmp_path.rglob(".rotoshift-*"))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_output_file_mode_follows_the_umask(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    argv = ["drfs", "--config", write_config(tmp_path, coulomb_drfs_config()), "--out", str(out)]
+    old = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o022
+
+
 def test_cycles_frequency_only_for_compare_stark(tmp_path, capsys):
     config = coulomb_drfs_config(
         rotor={"omega_over_2pi_hz": 8e7, "radius_m": 5e-11})
@@ -387,6 +419,81 @@ def test_coulomb_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkeyp
     # two parity blocks per shell above the first, each solved by one SVD
     assert len(rows) == 19 and max(rows) <= 30
     assert _Recorded.macs and max(_Recorded.macs) < 64 ** 3
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, set to 2 for the test."""
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS it ships")
+    get, set_ = threads
+    caller = get()
+    set_(2)
+    assert get() == 2
+    yield get
+    set_(caller)
+
+
+@pytest.mark.parametrize("omega, code", [(5e11, 0), (1e13, 3)], ids=["exit-0", "resonant"])
+def test_harmonic_spectrum_runs_blas_on_one_thread(tmp_path, capsys, monkeypatch,
+                                                   blas_threads, omega, code):
+    counts = []
+    for module, name in ((np.linalg, "eigh"), (cli, "_build_rotor")):
+        def counted(*args, _f=getattr(module, name), **kwargs):
+            counts.append(blas_threads())
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    config = {"model": "harmonic", "basis_n_max": 12,
+              "rotor": {"omega_rad_s": omega, "radius_m": 2e-12, "omega0_rad_s": 1e13}}
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == code
+    capsys.readouterr()
+    # one count from building the rotor, then one per n_z sector's eigh
+    assert counts == [1] * (14 if code == 0 else 1)
+    assert blas_threads() == 2
+
+
+def test_blas_pin_shared_by_threads_gives_the_count_back(blas_threads):
+    inside = []
+
+    def work():
+        for _ in range(300):
+            with cli._one_blas_thread:
+                time.sleep(0)  # hand the interpreter to another thread inside the pin
+                inside.append(blas_threads())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert inside == [1] * 8 * 300
+    assert blas_threads() == 2
+
+
+def test_blas_lookup_finds_numpys_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:
+        pytest.skip("numpy before 1.26 does not name its BLAS")
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas}")
+    get, set_ = cli._openblas_threads()
+    assert (get.__name__, set_.__name__) == ("scipy_openblas_get_num_threads64_",
+                                             "scipy_openblas_set_num_threads64_")
+    # the lookup waits for the first command
+    src = os.path.dirname(os.path.dirname(rotoshift.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import rotoshift.cli as c; print(c._openblas_threads.cache_info().misses)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
