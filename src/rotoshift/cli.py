@@ -26,6 +26,7 @@ import ctypes
 import json
 import math
 import os
+import stat
 import sys
 import threading
 from functools import lru_cache
@@ -541,30 +542,25 @@ def _render_json(command, columns, table) -> str:
 
 @lru_cache(maxsize=None)
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy ships and has
-    loaded, or None.  Looked up on the first command, not at import: the
-    `*openblas*` files of numpy's vendored-library directories are opened
-    only if already loaded, so no second copy comes in."""
+    """(get, set) of the thread count of the OpenBLAS that numpy runs on, or None.
+    Looked up on the first command, not at import, on the handle of numpy's loaded
+    extension module, which resolves a symbol among the libraries it links."""
     noload = getattr(os, "RTLD_NOLOAD", None)  # not on Windows
-    if noload is None:
+    module = (sys.modules.get("numpy._core._multiarray_umath")
+              or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
+    if noload is None or module is None:
         return None
-    package = os.path.dirname(np.__file__)
-    for directory in (os.path.join(os.path.dirname(package), "numpy.libs"),
-                      os.path.join(package, ".dylibs")):
-        names = sorted(os.listdir(directory)) if os.path.isdir(directory) else []
-        for name in (n for n in names if "openblas" in n):
-            try:
-                lib = ctypes.CDLL(os.path.join(directory, name), mode=noload)
-            except OSError:
-                continue
-            for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                                   ("openblas_", "")):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    return get, set_
+    try:
+        lib = ctypes.CDLL(module.__file__, mode=noload)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
     return None
 
 
@@ -600,15 +596,18 @@ _one_blas_thread = _OneBlasThread()
 
 
 def _write_atomic(text: str, path: str):
-    # created exclusively beside the target with mode 0o666, so that the
-    # umask sets the file's mode as it would for open(path, "w"); 96 random
-    # bits make a clash with another name as unlikely as guessing it
+    # written where and as open(path, "w") would: into the file a symlink names, with the
+    # mode of the file it replaces or else 0o666 less the umask, from a temp file created
+    # exclusively beside it, whose 96 random bits make a clash as unlikely as a guess
+    path = os.path.realpath(path) if os.path.islink(path) else path
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".rotoshift-{os.urandom(12).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -686,12 +685,13 @@ def main(argv=None) -> int:
         # JSON's encoding, whatever the locale's
         with open(args.config, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: config parse failure at line {exc.lineno}, "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer past Python's digit limit, too deep a nesting
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
     try:

@@ -369,7 +369,6 @@ def _shell(n: int):
     basis = hydrogen_manifold_basis(n)
     labels, hop = _label_hops(basis.labels)
     z = np.zeros((basis.dimension, basis.dimension))
-    Lp = np.zeros_like(z)
     for dl in (-1, 1):
         source, target = hop(0, dl, 0)
         l, m = labels[source, 1], labels[source, 2]
@@ -378,8 +377,12 @@ def _shell(n: int):
         z[target, source] = _radial_table(n)[l + dl, l] * cos
     source, target = hop(0, 0, 1)
     l, m = labels[source, 1], labels[source, 2]
-    Lp[target, source] = np.sqrt(l * (l + 1) - m * (m + 1))
-    x = 0.5 * ((z @ Lp - Lp @ z) + (Lp.T @ z - z @ Lp.T))
+    lp = np.sqrt(l * (l + 1) - m * (m + 1))
+    # x = ([z, L+] + [L-, z])/2, each product a shift of z's rows or columns along the hops
+    zLp, Lpz, Lmz, zLm = (np.zeros_like(z) for _ in range(4))
+    zLp[:, source], Lpz[target] = z[:, target] * lp, lp[:, None] * z[source]
+    Lmz[source], zLm[:, target] = lp[:, None] * z[target], z[:, source] * lp
+    x = 0.5 * ((zLp - Lpz) + (Lmz - zLm))
     # (l, -m) sits at l(l + 1) - m, in the same class as (l, m)
     l, m_l = labels[:, 1], labels[:, 2]
     mirror, parity = l * (l + 1) - m_l, (l + m_l) % 2

@@ -65,30 +65,25 @@ class SpectrumResult:
 
 @lru_cache(maxsize=64)
 def _flip_bases(flip: tuple):
-    # (P, M, T) of a flip with p pairs, built once, read-only: P's columns are e_k + e_f(k)
-    # for each pair k < f(k), or e_k for a fixed k, and M's e_k - e_f(k), all normalized;
-    # T takes [P U, M V] to (P u_j + M v_j)/sqrt(2), (P u_j - M v_j)/sqrt(2), j < p, and P u_j
+    # (P, M) of a flip, built once, read-only: P's columns are e_k + e_f(k) for each
+    # pair k < f(k), or e_k for a fixed k, and M's e_k - e_f(k), all normalized
     flip = np.array(flip)
     k, eye, swap = np.arange(len(flip)), np.eye(len(flip)), np.eye(len(flip))[flip]
     P = np.maximum(eye, swap)[:, k <= flip]
     P /= np.sqrt(P.sum(axis=0))
     M = (eye - swap)[:, k < flip] * sqrt(0.5)
-    p, d, j = M.shape[1], P.shape[1], np.arange(M.shape[1])
-    T = np.zeros_like(eye)
-    T[j, j] = T[j, p + j] = T[d + j, j] = sqrt(0.5)
-    T[d + j, p + j] = -sqrt(0.5)
-    T[np.arange(p, d), np.arange(2 * p, len(k))] = 1.0
-    P.flags.writeable = M.flags.writeable = T.flags.writeable = False
-    return P, M, T
+    P.flags.writeable = M.flags.writeable = False
+    return P, M
 
 
 def _flip_eigh(block: np.ndarray, flip: np.ndarray):
     # eigenpairs of a block with b[flip][:, flip] == -b by an SVD of half its size: b maps
     # P (flip +1) onto M (flip -1) and back, so B = P^T b M holds all of it; B = U S V^T
-    # gives the pairs +-s, and a zero for each column of P beyond those of M
-    P, M, T = _flip_bases(tuple(flip.tolist()))
+    # gives +-s on (P u_j +- M v_j)/sqrt(2), and a zero on P u_j for each j beyond len(s)
+    P, M = _flip_bases(tuple(flip.tolist()))
     U, s, Vt = np.linalg.svd(P.T @ block @ M)
-    vecs = np.concatenate([P @ U, M @ Vt.T], axis=1) @ T
+    PU, MV = P @ (U[:, :len(s)] * sqrt(0.5)), M @ (Vt.T * sqrt(0.5))
+    vecs = np.concatenate([PU + MV, PU - MV, P @ U[:, len(s):]], axis=1)
     return np.concatenate([s, -s, np.zeros(len(flip) - 2 * len(s))]), vecs
 
 

@@ -212,6 +212,21 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
 
+@pytest.mark.parametrize("text", [
+    '{"model": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"model": "coulomb", "basis_n_max": ' + "1" * 5000 + "}",
+], ids=["nested-past-the-decoder", "integer-past-the-digit-limit"])
+def test_config_the_reader_cannot_decode_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "report.csv"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing/report.csv", "directory"])
 def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, target):
     (tmp_path / "directory").mkdir()
@@ -232,6 +247,31 @@ def test_output_file_mode_follows_the_umask(tmp_path, capsys):
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o022
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_output_file_keeps_its_mode(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    argv = ["drfs", "--config", write_config(tmp_path, coulomb_drfs_config()), "--out", str(out)]
+    assert main(argv) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_text() != "old\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+def test_symlinked_output_writes_through_the_link(tmp_path, capsys):
+    target, link = tmp_path / "report.csv", tmp_path / "latest.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    config = write_config(tmp_path, coulomb_drfs_config())
+    assert main(["drfs", "--config", config]) == 0
+    table = capsys.readouterr().out
+    assert main(["drfs", "--config", config, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == table
+    assert not list(tmp_path.glob(".rotoshift-*"))
 
 
 def test_cycles_frequency_only_for_compare_stark(tmp_path, capsys):
@@ -395,7 +435,8 @@ def test_coulomb_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkeyp
     config = coulomb_drfs_config(transition={"upper": [10, 0], "lower": [1, 0]})
     argv = ["spectrum", "--config", write_config(tmp_path, config),
             "--out", str(tmp_path / "out.csv")]
-    # the first call per process forms each shell's x from four n^2 x n^2 products
+    # the first call per process builds each shell's radial table, whose Gauss-Laguerre
+    # nodes come from one 80-state eigensolve; the call below warms that cache
     assert main(argv) == 0
     rows = []
     for name in ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
@@ -494,6 +535,24 @@ def test_blas_lookup_finds_numpys_openblas():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_blas_lookup_lists_no_directory(monkeypatch):
+    # the lookup opens numpy's loaded extension module and lists no directory
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:
+        pytest.skip("numpy before 1.26 does not name its BLAS")
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas}")
+
+    def listdir(path):
+        raise AssertionError(f"listed {path}")
+    monkeypatch.setattr(os, "listdir", listdir)
+    monkeypatch.setattr(os.path, "isdir", lambda path: False)
+    get, set_ = cli._openblas_threads.__wrapped__()
+    assert (get.__name__, set_.__name__) == ("scipy_openblas_get_num_threads64_",
+                                             "scipy_openblas_set_num_threads64_")
 
 
 # ---------------------------------------------------------------------------

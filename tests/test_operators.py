@@ -431,6 +431,20 @@ def test_shell_radial_quadratures_run_once(monkeypatch):
         table[1, 0] = 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shell_x_is_the_dense_commutator_bit_for_bit(n):
+    # x = ([z, L+] + [L-, z])/2, formed here from dense products with the shell's own z
+    labels = hydrogen_manifold_basis(n).labels
+    index = {label: k for k, label in enumerate(labels)}
+    Lp = np.zeros((n * n, n * n))
+    for (n_, l, m), k in index.items():
+        if m < l:
+            Lp[index[(n_, l, m + 1)], k] = np.sqrt(l * (l + 1) - m * (m + 1))
+    _, x, z, _, _ = operators._shell(n)
+    dense = 0.5 * ((z @ Lp - Lp @ z) + (Lp.T @ z - z @ Lp.T))
+    assert x.tobytes() == dense.tobytes()
+
+
 def test_basis_only_arrays_are_built_once_and_read_only():
     shell = operators._shell(4)
     assert operators._shell(4) is shell
