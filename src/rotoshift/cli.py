@@ -37,17 +37,17 @@ import numpy as np
 from .constants import CODATA2018
 from .errors import (OutOfRegimeError, ResonanceError, RotoshiftError,
                      ValidationError, double_precision)
+# build_ho_basis, ho_rotating_hamiltonian, eigen_spectrum, ho_rotating_levels,
+# rotating_coulomb_levels, driven_splitting_parameter and
+# splitting_expansion_parameter are no longer called here; they stay
+# importable for perfbench/spans.py, which wraps them by this module's name
 from .operators import (build_ho_basis, ho_rotating_hamiltonian,
                         manifold_perturbation)
-# ho_rotating_levels, rotating_coulomb_levels, driven_splitting_parameter
-# and splitting_expansion_parameter are no longer called here; they stay
-# importable for perfbench/spans.py, which wraps them by this module's name
-from .quasienergy import (_bohr_level, driven_splitting_parameter, eigen_spectrum,
-                          first_order_degenerate_levels,
-                          driven_rotating_levels, ho_rotating_levels,
+from .quasienergy import (_bohr_level, _ho_circular_levels, driven_rotating_levels,
+                          driven_splitting_parameter, eigen_spectrum,
+                          first_order_degenerate_levels, ho_rotating_levels,
                           ho_rotating_spectrum, rotating_coulomb_levels,
-                          rotating_coulomb_spectrum,
-                          splitting_expansion_parameter)
+                          rotating_coulomb_spectrum, splitting_expansion_parameter)
 from .rotor import (_MAX_Z, Coulomb, Harmonic, RotorConfig, drive_field_vector,
                     fictitious_fields)
 from .shifts import (ALT_SERIES_COEFFICIENT, Transition, doppler_frequency,
@@ -437,19 +437,30 @@ def _run_spectrum(config: dict):
     except (ValidationError, OutOfRegimeError) as exc:
         raise OutOfRegimeError(f"quasi_energy_closed_form_J: {exc}") from exc
     if harmonic:
-        numeric = eigen_spectrum(ho_rotating_hamiltonian(build_ho_basis(top), rotor))
-        numeric_column = "quasi_energy_diagonalized_J"
-    else:
-        fields = fictitious_fields(rotor)
-        pieces = []
-        for n in range(1, top + 1):
-            # the Bohr level: the oracle borrows no fan (nor its warning) from the closed form
-            E0 = _bohr_level(n, rotor.model.Z)
-            W = manifold_perturbation(n, fields, Z=rotor.model.Z)
-            pieces.append(first_order_degenerate_levels(E0, W))
-        numeric = np.sort(np.concatenate(pieces))
-        numeric_column = "quasi_energy_first_order_J"
-    columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J", numeric_column]
+        try:
+            labels, levels, bounds = _ho_circular_levels(top, rotor)
+        except OutOfRegimeError as exc:
+            # a slower orbit, at the same rotation, needs fewer circular quanta
+            raise OutOfRegimeError(f"rotor.radius_m: {exc}") from exc
+        # each closed-form row takes the numeric level of its own (N, m_z), both in
+        # ascending order within a label; the two routes enumerate the same labels
+        order = np.lexsort((analytic.energies, *analytic.labels.T[::-1]))
+        if not np.array_equal(analytic.labels[order], labels):
+            raise RotoshiftError("the numeric and closed-form levels carry different labels")
+        numeric, bound = np.empty_like(levels), np.empty_like(bounds)
+        numeric[order], bound[order] = levels, bounds
+        columns = ["quasi_energy_diagonalized_J", "truncation_bound_J"]
+        return (["index", "shell", "m_z", "quasi_energy_closed_form_J", *columns],
+                [np.arange(len(numeric)), *analytic.labels.T, analytic.energies, numeric, bound])
+    fields = fictitious_fields(rotor)
+    pieces = []
+    for n in range(1, top + 1):
+        # the Bohr level: the oracle borrows no fan (nor its warning) from the closed form
+        E0 = _bohr_level(n, rotor.model.Z)
+        W = manifold_perturbation(n, fields, Z=rotor.model.Z)
+        pieces.append(first_order_degenerate_levels(E0, W))
+    numeric = np.sort(np.concatenate(pieces))
+    columns = ["index", "shell", "m_z", "quasi_energy_closed_form_J", "quasi_energy_first_order_J"]
     return columns, [np.arange(len(numeric)), *analytic.labels.T, analytic.energies, numeric]
 
 

@@ -8,6 +8,8 @@ entry is exact; truncation only removes couplings out of the basis.  The
 shell's x follows from z through the commutators with L+-.  Each
 operator is real symmetric and kept as the blocks an exact symmetry
 leaves uncoupled: the trap's n_z sectors, the shell's sigma_z-parity classes.
+The trap also splits into two uncoupled circular modes, each a tridiagonal
+over its own number states.
 """
 
 from __future__ import annotations
@@ -259,6 +261,16 @@ def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
     """
     _, _, lz, sectors = _ho_plane(basis)
     return HermitianOperator.from_blocks(basis, ((i, lz[cut]) for _, i, cut in sectors))
+
+
+def _circular_mode(slope: float, drive: float, states: int) -> np.ndarray:
+    # slope n - drive (a + a+) over the number states 0 .. states-1 of one circular mode,
+    # in trap units: n = a+ a on the diagonal, and a+ |k-1> = sqrt(k) |k> beside it
+    mode = np.zeros((states, states))
+    mode.flat[::states + 1] = slope * np.arange(states)
+    ladder = np.sqrt(np.arange(1, states))
+    mode.flat[1::states + 1] = mode.flat[states::states + 1] = -drive * ladder
+    return mode
 
 
 # ---------------------------------------------------------------------------

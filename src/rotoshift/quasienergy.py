@@ -19,7 +19,7 @@ import numpy as np
 from .constants import CODATA2018, atomic_velocity
 from .errors import (OutOfRegimeError, PerturbativeRegimeWarning, RotoshiftError,
                      StateNotFoundError, ValidationError, double_precision)
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _circular_mode
 from .rotor import Coulomb, CrossedFields, Harmonic, RotorConfig
 
 
@@ -65,25 +65,40 @@ class SpectrumResult:
 
 @lru_cache(maxsize=64)
 def _flip_bases(flip: tuple):
-    # (P, M) of a flip, built once, read-only: P's columns are e_k + e_f(k) for each
-    # pair k < f(k), or e_k for a fixed k, and M's e_k - e_f(k), all normalized
+    # (P, M, gathers) of a flip, built once, read-only: P's columns are e_k + e_f(k) for
+    # each pair k < f(k), or e_k for a fixed k, and M's e_k - e_f(k), all normalized.  Each
+    # row of P and of M has one entry (M's is 0 at a fixed k), so with r pairs the
+    # eigenvectors [(PU + MV)/sqrt(2), (PU - MV)/sqrt(2), PU beyond r] are
+    # U.take(iu) wu + Vt.take(iv) wv: iu and iv are flat indices of the entry of U and of
+    # V^T that each vector entry reads, wu and wv the entries of P and M times +-1/sqrt(2)
     flip = np.array(flip)
     k, eye, swap = np.arange(len(flip)), np.eye(len(flip)), np.eye(len(flip))[flip]
     P = np.maximum(eye, swap)[:, k <= flip]
     P /= np.sqrt(P.sum(axis=0))
     M = (eye - swap)[:, k < flip] * sqrt(0.5)
-    P.flags.writeable = M.flags.writeable = False
-    return P, M
+    low, fixed, r = np.minimum(k, flip), k == flip, M.shape[1]
+    pairs, rest = np.arange(r), np.arange(r, P.shape[1])
+    half, ones = np.full(r, sqrt(0.5)), np.ones(len(rest))
+    # the column of P and of M that holds each row's entry
+    p_col, m_col = np.searchsorted(k[k <= flip], low), np.searchsorted(k[k < flip], low)
+    iu = p_col[:, None] * P.shape[1] + np.r_[pairs, pairs, rest]
+    iv = np.r_[pairs, pairs, 0 * rest] * r + np.where(fixed, 0, m_col)[:, None]
+    wu = np.where(fixed, 1.0, sqrt(0.5))[:, None] * np.r_[half, half, ones]
+    wv = (np.sign(flip - k) * sqrt(0.5))[:, None] * np.r_[half, -half, 0 * ones]
+    for a in (P, M, iu, iv, wu, wv):
+        a.flags.writeable = False
+    return P, M, (iu, wu, iv, wv)
 
 
 def _flip_eigh(block: np.ndarray, flip: np.ndarray):
     # eigenpairs of a block with b[flip][:, flip] == -b by an SVD of half its size: b maps
     # P (flip +1) onto M (flip -1) and back, so B = P^T b M holds all of it; B = U S V^T
     # gives +-s on (P u_j +- M v_j)/sqrt(2), and a zero on P u_j for each j beyond len(s)
-    P, M = _flip_bases(tuple(flip.tolist()))
+    P, M, (iu, wu, iv, wv) = _flip_bases(tuple(flip.tolist()))
     U, s, Vt = np.linalg.svd(P.T @ block @ M)
-    PU, MV = P @ (U[:, :len(s)] * sqrt(0.5)), M @ (Vt.T * sqrt(0.5))
-    vecs = np.concatenate([PU + MV, PU - MV, P @ U[:, len(s):]], axis=1)
+    vecs = U.take(iu) * wu
+    if len(s):  # with no pairs V is empty, and so is M V
+        vecs += Vt.take(iv) * wv
     return np.concatenate([s, -s, np.zeros(len(flip) - 2 * len(s))]), vecs
 
 
@@ -166,6 +181,76 @@ def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
     N, m_z = np.indices((N_max + 1, 2 * N_max + 1)).reshape(2, -1) - [[0], [N_max]]
     labels = np.repeat(np.stack([N, m_z], axis=1), ho_shell_multiplicity(N, m_z), axis=0)
     return SpectrumResult(labels, _ho_levels(labels[:, 0], labels[:, 1], rotor))
+
+
+# ---------------------------------------------------------------------------
+# numeric oracle: the trap in circular quanta
+# ---------------------------------------------------------------------------
+
+# largest truncation bound of a reported level, in units of hbar omega0
+_CERTIFIED = 3e-13
+# largest mode basis tried, and the size up to which it grows in steps of 3
+_MAX_STATES = 400
+_SMALL_STEPS = 96
+
+
+def _mode_levels(slope: float, drive: float, count: int):
+    # (levels, leaks) of the ladder states k = 0 .. count-1 of slope n - drive (a + a+),
+    # from the smallest basis in the schedule whose every leak is below _CERTIFIED/sqrt(2).
+    # k counts upward from the lowest level when the slope is positive, downward from
+    # the highest when it is negative.  The leak drive sqrt(K) |u_{K-1}| of an eigenvector
+    # u of the K-state truncation is the norm of its residual in the full ladder, so an
+    # exact level lies within it (Weinstein)
+    picked = slice(count) if slope > 0 else slice(-1, -count - 1, -1)
+    states = count + 1
+    while True:
+        mode = _circular_mode(slope, drive, states)
+        vals, vecs = np.linalg.eigh(mode)
+        leaks = abs(drive) * sqrt(states) * np.abs(vecs[-1, picked])
+        if leaks.max() <= _CERTIFIED / sqrt(2):
+            break
+        if states == _MAX_STATES:
+            raise OutOfRegimeError(f"no circular-mode basis of up to {_MAX_STATES} states "
+                                   f"certifies the levels to {_CERTIFIED:g} hbar omega0")
+        states = min(states + (3 if states < _SMALL_STEPS else states // 4), _MAX_STATES)
+    norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
+    if np.any(np.linalg.norm((mode @ vecs - vecs * vals) / norm, axis=0) > 1e-10):
+        raise RotoshiftError("eigensolver residual exceeds tolerance")
+    return vals[picked], leaks
+
+
+def _ho_circular_levels(N_max: int, rotor: RotorConfig):
+    """Levels of the rotating trap through shell N_max, from its circular quanta.
+
+    With a+- = (a_x -+ i a_y)/sqrt(2), L_z = n+ - n- and, in a real gauge, the
+    trap is h+ + h- + n_z + 3/2 in units of hbar omega0, where
+    h+- = (1 -+ Omega/omega0) n - (v/2)(a + a+) and v is the orbital speed in
+    trap units.  The two modes never couple, so each is one tridiagonal, solved
+    on its own and grown until it is certified.  Level (i, j, n_z) is
+    e+[i] + e-[j] + n_z + 3/2 with label (N, m_z) = (i + j + n_z, i - j).
+    Returns (labels, energies, bounds): one int64 (N, m_z) row per state with
+    N <= N_max, sorted by label and within a label by energy; the energies and
+    the truncation bounds hypot(leak+[i], leak-[j]) are in J.  Reads no closed
+    form; OutOfRegimeError when no basis up to _MAX_STATES certifies the levels.
+    """
+    if not isinstance(rotor.model, Harmonic):
+        raise ValidationError("rotor model must be Harmonic")
+    omega0 = rotor.model.omega0
+    wrel = rotor.Omega / omega0
+    drive = 0.5 * rotor.v_c * sqrt(CODATA2018.electron_mass / (CODATA2018.hbar * omega0))
+    if not isfinite(drive):
+        raise OutOfRegimeError("the orbital speed leaves the double-precision range")
+    (plus, leak_plus), (minus, leak_minus) = (
+        _mode_levels(slope, drive, N_max + 1) for slope in (1.0 - wrel, 1.0 + wrel))
+    i, j, n_z = np.indices((N_max + 1,) * 3).reshape(3, -1)
+    keep = i + j + n_z <= N_max
+    i, j, n_z = i[keep], j[keep], n_z[keep]
+    quantum = CODATA2018.hbar * omega0
+    energies = (plus[i] + minus[j] + n_z + 1.5) * quantum
+    labels = np.stack([i + j + n_z, i - j], axis=1)
+    order = np.lexsort((energies, labels[:, 1], labels[:, 0]))
+    bounds = np.hypot(leak_plus[i], leak_minus[j]) * quantum
+    return labels[order], _finite(energies[order]), bounds[order]
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,67 @@ def test_spectrum_harmonic_two_routes_agree(tmp_path, capsys):
                   / np.abs(closed[:keep])) <= 1e-6
 
 
+def trap_spectrum_config(n_max, w, v, omega0=1e13, **overrides):
+    """A harmonic spectrum at rotation w omega0 and orbital speed v in trap units, as JSON."""
+    speed = v * (C.hbar * omega0 / C.electron_mass) ** 0.5
+    config = {"model": "harmonic", "basis_n_max": n_max, "output": {"format": "json"},
+              "rotor": {"omega_rad_s": w * omega0, "radius_m": speed / abs(w * omega0),
+                        "omega0_rad_s": omega0}}
+    config.update(overrides)
+    return config
+
+
+def spectrum_rows(tmp_path, capsys, config):
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["columns"] == ["index", "shell", "m_z", "quasi_energy_closed_form_J",
+                                  "quasi_energy_diagonalized_J", "truncation_bound_J"]
+    return np.array(payload["rows"])
+
+
+def test_harmonic_spectrum_pairs_each_row_with_its_own_label(tmp_path, capsys):
+    # at 0.6 omega0 sorted row i and closed-form row i are unlike states, 1.2e-2 apart
+    rows = spectrum_rows(tmp_path, capsys, trap_spectrum_config(14, 0.6, 0.1))
+    assert len(rows) == 680
+    closed, numeric, bound = rows[:, 3], rows[:, 4], rows[:, 5]
+    assert np.max(np.abs(numeric - closed) / np.abs(closed)) <= 1e-12
+    assert np.all((bound >= 0) & (bound <= 3e-13 * C.hbar * 1e13))
+
+
+def test_harmonic_spectrum_sees_the_sense_of_rotation(tmp_path, capsys):
+    # +-Omega have one sorted spectrum, so only a comparison by label tells them apart
+    minus = spectrum_rows(tmp_path, capsys, trap_spectrum_config(10, -0.05, 0.02))
+    plus = spectrum_rows(tmp_path, capsys, trap_spectrum_config(10, 0.05, 0.02))
+    assert np.max(np.abs(np.sort(minus[:, 4]) - plus[:, 3]) / plus[:, 3]) <= 1e-12
+
+    def table(rows, column):
+        levels = {}
+        for row in rows:
+            levels.setdefault((row[1], row[2]), []).append(row[column])
+        return {label: sorted(values) for label, values in levels.items()}
+    numeric, closed = table(minus, 4), table(plus, 3)
+    assert numeric.keys() == closed.keys()
+    miss = max(abs(a - b) for label in closed for a, b in zip(numeric[label], closed[label]))
+    assert miss >= 0.5 * C.hbar * 1e13
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "harmonic", "basis_n_max": 10,
+     "rotor": {"omega_rad_s": 3e12, "radius_m": 1e-3, "omega0_rad_s": 1e13}},
+    trap_spectrum_config(10, 0.999, 0.1),
+], ids=["wide-orbit", "near-resonance"])
+def test_uncertified_harmonic_spectrum_exits_3_naming_the_radius(tmp_path, capsys, config):
+    # 0.999 omega0 lies outside the 1e-6 resonance band, but its slow circular mode
+    # needs thousands of quanta: no basis up to the ceiling certifies the levels
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code = main(["spectrum", "--config", write_config(tmp_path, config), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: rotor.radius_m: ")
+    assert not out.exists()
+
+
 def test_spectrum_coulomb_first_order_route(tmp_path, capsys):
     config = {
         "model": "coulomb",
@@ -489,9 +550,27 @@ def test_harmonic_spectrum_runs_blas_on_one_thread(tmp_path, capsys, monkeypatch
               "rotor": {"omega_rad_s": omega, "radius_m": 2e-12, "omega0_rad_s": 1e13}}
     assert main(["spectrum", "--config", write_config(tmp_path, config)]) == code
     capsys.readouterr()
-    # one count from building the rotor, then one per n_z sector's eigh
-    assert counts == [1] * (14 if code == 0 else 1)
+    # one count from building the rotor, then one per eigh of a circular mode,
+    # at least one for each of the two modes
+    assert counts == [1] * len(counts) and len(counts) >= (3 if code == 0 else 1)
     assert blas_threads() == 2
+
+
+def test_harmonic_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkeypatch):
+    # the benchmark's corner, basis_n_max 14 at 0.1 omega0 and v = 0.1: each circular
+    # mode's tridiagonal stays below the 32 states from which eigh wakes a second thread
+    config = trap_spectrum_config(14, 0.1, 0.1)
+    argv = ["spectrum", "--config", write_config(tmp_path, config),
+            "--out", str(tmp_path / "out.json")]
+    rows = []
+    for name in ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+                 "lstsq", "pinv", "qr", "slogdet", "solve", "svd", "svdvals"):
+        def factorize(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, factorize)
+    assert main(argv) == 0
+    assert rows and max(rows) <= 30, rows
 
 
 def test_blas_pin_shared_by_threads_gives_the_count_back(blas_threads):

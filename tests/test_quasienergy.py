@@ -262,6 +262,59 @@ def test_ho_closed_form_tracks_diagonalization():
     assert np.max(rel) <= 1e-8
 
 
+def trap(w, v, omega0=1e13):
+    """A trap rotating at w omega0 with orbital speed v in trap units sqrt(hbar omega0/m)."""
+    speed = v * sqrt(C.hbar * omega0 / C.electron_mass)
+    return RotorConfig(Omega=w * omega0, R=speed / abs(w * omega0), model=Harmonic(omega0=omega0))
+
+
+def by_label(labels, energies):
+    # (N, m_z) -> that label's energies, ascending
+    table = {}
+    for (N, m_z), e in zip(labels.tolist(), energies.tolist()):
+        table.setdefault((N, m_z), []).append(e)
+    return {label: sorted(values) for label, values in table.items()}
+
+
+@pytest.mark.parametrize("n_max", [14, 20])
+def test_circular_oracle_levels_lie_within_their_bounds(n_max, monkeypatch):
+    # the ROADMAP grid, with both senses of rotation and a rotation past the trap frequency;
+    # levels near zero at 1.5 omega0 are compared on the scale of the whole spectrum
+    sizes = []
+
+    def eigh(a, _f=np.linalg.eigh):
+        sizes.append(len(a))
+        return _f(a)
+    monkeypatch.setattr(quasienergy.np.linalg, "eigh", eigh)
+    for w in (-0.6, 0.05, 0.3, 0.6, 0.9, 1.5):
+        for v in (0.02, 0.1, 0.5):
+            rotor = trap(w, v)
+            sizes.clear()
+            labels, energies, bounds = quasienergy._ho_circular_levels(n_max, rotor)
+            closed = by_label(*[getattr(ho_rotating_spectrum(n_max, rotor), a)
+                                for a in ("labels", "energies")])
+            assert by_label(labels, energies).keys() == closed.keys()
+            want = np.array([closed[label].pop(0) for label in map(tuple, labels.tolist())])
+            scale = np.max(np.abs(want))
+            assert np.all(np.abs(energies - want) <= bounds + 1e-12 * scale), (w, v)
+            assert np.all(bounds <= 3e-13 * C.hbar * 1e13)
+            if (w, v) == (0.9, 0.5):
+                # the slow mode, slope 0.1, grows its basis well past the first try
+                assert len(sizes) > 2 and 62 <= max(sizes) - n_max <= 69, sizes
+
+
+def test_circular_oracle_reads_no_closed_form(monkeypatch):
+    rotor = trap(0.3, 0.1)
+    want = quasienergy._ho_circular_levels(10, rotor)
+
+    def closed_form(*args):
+        raise AssertionError("the oracle read a closed form")
+    for name in ("_ho_levels", "ho_rotating_levels", "ho_rotating_spectrum"):
+        monkeypatch.setattr(quasienergy, name, closed_form)
+    got = quasienergy._ho_circular_levels(10, rotor)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # crossed-field closed forms vs perturbation theory
 # ---------------------------------------------------------------------------
