@@ -14,7 +14,6 @@ from .errors import (OutOfRegimeError, PerturbativeRegimeWarning,
                      StateNotFoundError, UnphysicalTransitionError,
                      ValidationError)
 from .operators import (HermitianOperator, TruncatedBasis, build_ho_basis,
-                        ho_lz_matrix,
                         ho_rotating_hamiltonian, hydrogen_manifold_basis,
                         manifold_perturbation, manifold_position_matrices,
                         radial_dipole_integral)
@@ -49,7 +48,7 @@ __all__ = [
     "driven_rotating_levels", "driven_shift_report",
     "driven_splitting_parameter", "eigen_spectrum", "emitted_frequency",
     "fictitious_fields", "first_order_degenerate_levels", "force_ratio",
-    "force_ratio_engineering", "harmonic_shift_report", "ho_lz_matrix",
+    "force_ratio_engineering", "harmonic_shift_report",
     "ho_rotating_hamiltonian", "ho_rotating_levels", "ho_rotating_spectrum",
     "ho_shell_multiplicity", "hydrogen_manifold_basis",
     "manifold_perturbation", "manifold_position_matrices",

@@ -577,10 +577,11 @@ def _openblas_threads():
 
 class _OneBlasThread:
     """Runs its block with numpy's bundled OpenBLAS on one thread and gives the
-    caller's count back on the way out.  From about 30 states up a harmonic
-    eigh block wakes a second BLAS thread, which doubles its CPU time for no
-    gain in wall time.  The count is process-wide, so blocks entered from
-    several threads share one pin: the first in sets it, the last out restores."""
+    caller's count back on the way out.  From 26 states up an eigh wakes a
+    second BLAS thread, which can cost up to about 300 times its wall time
+    (16-17 ms against 0.05-0.12 ms on one thread, OpenBLAS 0.3.31 on 2 CPUs).
+    The count is process-wide, so blocks entered from several threads share
+    one pin: the first in sets it, the last out restores."""
 
     def __init__(self):
         self._lock = threading.Lock()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import factorial, hypot, sqrt
+from math import comb, factorial, hypot, sqrt
 from operator import lt
 from typing import Optional, Tuple
 
@@ -252,17 +252,6 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     return HermitianOperator.from_blocks(basis, blocks())
 
 
-def ho_lz_matrix(basis: TruncatedBasis) -> HermitianOperator:
-    """Axial angular momentum over the occupation basis, in units of hbar.
-
-    Written in the same real gauge |n> -> i^{n_x} |n> as
-    ho_rotating_hamiltonian: the elements are -sqrt(n_x (n_y + 1)) and
-    -sqrt((n_x + 1) n_y).  Its blocks are cut from L_z over the plane.
-    """
-    _, _, lz, sectors = _ho_plane(basis)
-    return HermitianOperator.from_blocks(basis, ((i, lz[cut]) for _, i, cut in sectors))
-
-
 def _circular_mode(slope: float, drive: float, states: int) -> np.ndarray:
     # slope n - drive (a + a+) over the number states 0 .. states-1 of one circular mode,
     # in trap units: n = a+ a on the diagonal, and a+ |k-1> = sqrt(k) |k> beside it
@@ -278,43 +267,6 @@ def _circular_mode(slope: float, drive: float, states: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lagval(x, c):
-    # sum c_k L_k(x) by Clenshaw's recurrence, as numpy.polynomial.laguerre.lagval
-    nd, c0, c1 = len(c), c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        nd = nd - 1
-        c0, c1 = c[-i] - (c1 * (nd - 1)) / nd, c0 + (c1 * ((2 * nd - 1) - x)) / nd
-    return c0 + c1 * (1 - x)
-
-
-@lru_cache(maxsize=None)
-def _laguerre_nodes(count: int):
-    # numpy.polynomial.laguerre.laggauss step for step, so bit for bit, without
-    # importing numpy.polynomial's nine modules (0.7 MB resident per process)
-    c, k = np.eye(count + 1)[-1], np.arange(count)
-    companion = np.diag(2.0 * k + 1.0) + np.diag(-k[1:], 1) + np.diag(-k[1:], -1)
-    x = np.linalg.eigvalsh(companion)
-    # one Newton step; L_count' = -(L_0 + ... + L_{count-1})
-    dy, df = _lagval(x, c), _lagval(x, -np.ones(count))
-    x -= dy / df
-    fm = _lagval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w /= w.sum()
-    return x, w
-
-
-def _genlaguerre(k: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    # L_k^(alpha)(x) by the three-term recurrence in k
-    prev, cur = np.ones_like(x), 1.0 + alpha - x
-    if k == 0:
-        return prev
-    for j in range(1, k):
-        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
-    return cur
-
-
 def _radial_norm(n: int, l: int) -> float:
     return sqrt((2.0 / n) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l)))
 
@@ -322,10 +274,11 @@ def _radial_norm(n: int, l: int) -> float:
 def radial_dipole_integral(n: int, l: int, l_prime: int) -> float:
     """Radial dipole element <n l' | r | n l> within one shell, in a0/Z units.
 
-    Evaluated by Gauss-Laguerre quadrature of the hydrogenic radial
-    functions (positive near the origin, associated-Laguerre form); the
-    integrand is a polynomial times the quadrature weight, so the result is
-    exact to machine precision.  With this phase convention the same-shell
+    Integrated exactly: with rho = 2r/n each hydrogenic radial function is
+    rho^l e^{-rho/2} times an associated Laguerre polynomial (positive near
+    the origin), so the integrand is a polynomial times e^{-rho}, each
+    rho^k e^{-rho} integrates to k!, and the integral is an integer sum,
+    rounded to float once.  With this phase convention the same-shell
     element is negative; its magnitude is (3n/2) sqrt(n^2 - l_>^2).
     """
     _shell_number(n)
@@ -334,20 +287,19 @@ def radial_dipole_integral(n: int, l: int, l_prime: int) -> float:
             raise ValidationError(f"{name} must be an integer in [0, n-1]")
     if abs(l - l_prime) != 1:
         raise SelectionRuleError("radial dipole element requires |l - l'| = 1")
-    # substitution rho = 2r/n; the two e^{-rho/2} factors supply the
-    # Gauss-Laguerre weight, the rest is a degree 2n+1 polynomial
-    x, w = _laguerre_nodes(80)
-    np_, npp = _radial_norm(n, l), _radial_norm(n, l_prime)
-    poly = (x ** (l + l_prime)
-            * _genlaguerre(n - l - 1, 2 * l + 1, x)
-            * _genlaguerre(n - l_prime - 1, 2 * l_prime + 1, x))
-    val = np_ * npp * np.sum(w * poly * (n * x / 2.0) ** 3) * (n / 2.0)
-    return float(val)
+    # L_{n-l-1}^{(2l+1)}(rho) = sum_i (-1)^i C(n+l, n-l-1-i) rho^i / i!, and r^3 dr
+    # with rho^(l+l') from the two radial functions gives (n/2)^4 rho^p drho
+    p = l + l_prime + 3
+    moment = sum((-1) ** (i + j) * comb(n + l, n - l - 1 - i)
+                 * comb(n + l_prime, n - l_prime - 1 - j)
+                 * (factorial(i + j + p) // (factorial(i) * factorial(j)))
+                 for i in range(n - l) for j in range(n - l_prime))
+    return _radial_norm(n, l) * _radial_norm(n, l_prime) * moment * (n / 2) ** 4
 
 
 @lru_cache(maxsize=None)
 def _radial_table(n: int) -> np.ndarray:
-    # radial[l', l] = <n l'| r |n l>, each direction its own quadrature;
+    # radial[l', l] = <n l'| r |n l>, each direction its own integral;
     # depends on n alone, so it is built once per shell and shared read-only
     radial = np.zeros((n, n))
     for l in range(n - 1):
@@ -360,7 +312,7 @@ def _radial_table(n: int) -> np.ndarray:
 def manifold_position_matrices(n: int):
     """Cartesian position matrices (x, y, z) over one shell, in a0/Z units.
 
-    z is the radial quadrature times the cos(theta) factor
+    z is the radial integral times the cos(theta) factor
     sqrt((l< + 1 - m)(l< + 1 + m) / ((2 l< + 1)(2 l< + 3))) on each
     l -> l +- 1 hop, l< the smaller of the two l.  x follows from
     x + iy = -[L+, z] and x - iy = [L-, z], with L+ sqrt(l(l+1) - m(m+1))

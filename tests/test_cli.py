@@ -491,14 +491,13 @@ class _Recorded(np.ndarray):
 @pytest.mark.filterwarnings("ignore::rotoshift.PerturbativeRegimeWarning")
 def test_coulomb_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkeypatch):
     # numpy's bundled OpenBLAS (0.3.31) runs a matrix product on one thread
-    # below 64^3 multiply-adds, and its eigensolvers wake a second thread
-    # from about 32 states; a top-10 Coulomb spectrum must stay below both
+    # below 64^3 multiply-adds, and its eigh wakes a second thread from 26
+    # states; a top-10 Coulomb spectrum must stay below both, cold caches included
     config = coulomb_drfs_config(transition={"upper": [10, 0], "lower": [1, 0]})
     argv = ["spectrum", "--config", write_config(tmp_path, config),
             "--out", str(tmp_path / "out.csv")]
-    # the first call per process builds each shell's radial table, whose Gauss-Laguerre
-    # nodes come from one 80-state eigensolve; the call below warms that cache
-    assert main(argv) == 0
+    operators._radial_table.cache_clear()
+    operators._shell.cache_clear()
     rows = []
     for name in ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
                  "lstsq", "pinv", "qr", "slogdet", "solve", "svd", "svdvals"):
@@ -537,28 +536,39 @@ def blas_threads():
     set_(caller)
 
 
-@pytest.mark.parametrize("omega, code", [(5e11, 0), (1e13, 3)], ids=["exit-0", "resonant"])
+def _trap_n12(omega):
+    return {"model": "harmonic", "basis_n_max": 12,
+            "rotor": {"omega_rad_s": omega, "radius_m": 2e-12, "omega0_rad_s": 1e13}}
+
+
+@pytest.mark.parametrize("config, code, past_25", [
+    (_trap_n12(5e11), 0, False),
+    (_trap_n12(1e13), 3, False),
+    # each circular mode grows to 34 states, past the 25 up to which eigh keeps one thread
+    (trap_spectrum_config(20, 0.1, 0.1), 0, True),
+], ids=["exit-0", "resonant", "past-25-states"])
 def test_harmonic_spectrum_runs_blas_on_one_thread(tmp_path, capsys, monkeypatch,
-                                                   blas_threads, omega, code):
-    counts = []
+                                                   blas_threads, config, code, past_25):
+    counts, sizes = [], []
     for module, name in ((np.linalg, "eigh"), (cli, "_build_rotor")):
-        def counted(*args, _f=getattr(module, name), **kwargs):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
             counts.append(blas_threads())
+            if _name == "eigh":
+                sizes.append(len(args[0]))
             return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    config = {"model": "harmonic", "basis_n_max": 12,
-              "rotor": {"omega_rad_s": omega, "radius_m": 2e-12, "omega0_rad_s": 1e13}}
     assert main(["spectrum", "--config", write_config(tmp_path, config)]) == code
     capsys.readouterr()
     # one count from building the rotor, then one per eigh of a circular mode,
     # at least one for each of the two modes
     assert counts == [1] * len(counts) and len(counts) >= (3 if code == 0 else 1)
+    assert (max(sizes, default=0) > 25) == past_25
     assert blas_threads() == 2
 
 
 def test_harmonic_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkeypatch):
     # the benchmark's corner, basis_n_max 14 at 0.1 omega0 and v = 0.1: each circular
-    # mode's tridiagonal stays below the 32 states from which eigh wakes a second thread
+    # mode's tridiagonal stays within the 25 states up to which eigh keeps one thread
     config = trap_spectrum_config(14, 0.1, 0.1)
     argv = ["spectrum", "--config", write_config(tmp_path, config),
             "--out", str(tmp_path / "out.json")]
@@ -570,7 +580,7 @@ def test_harmonic_spectrum_stays_below_the_blas_threading_sizes(tmp_path, monkey
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, factorize)
     assert main(argv) == 0
-    assert rows and max(rows) <= 30, rows
+    assert rows and max(rows) <= 25, rows
 
 
 def test_blas_pin_shared_by_threads_gives_the_count_back(blas_threads):

@@ -1,9 +1,10 @@
 """Matrix assembly checks against independent oracles.
 
 The harmonic Hamiltonian is compared with a closed-form level list computed
-here from scratch; the hydrogen dipole blocks are compared against
-Gauss-Laguerre-independent closed forms and against sympy's Gaunt
-coefficients for the angular factors.
+here from scratch and with dense ladder-element references; the exact
+hydrogen radial integrals are compared against the in-shell closed form
+(3n/2) sqrt(n^2 - l_>^2), which the library never uses, and the dipole
+blocks against sympy's Gaunt coefficients for the angular factors.
 """
 
 import tracemalloc
@@ -17,7 +18,7 @@ from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic,
                        HermitianOperator, ResonanceError, RotorConfig,
                        SelectionRuleError, TruncatedBasis, ValidationError,
                        build_ho_basis,
-                       fictitious_fields, ho_lz_matrix,
+                       fictitious_fields,
                        ho_rotating_hamiltonian, hydrogen_manifold_basis,
                        eigen_spectrum, manifold_perturbation,
                        manifold_position_matrices, radial_dipole_integral)
@@ -109,7 +110,7 @@ def test_non_hermitian_matrix_rejected():
 
 def test_operator_matrix_is_read_only():
     basis = build_ho_basis(1)
-    op = ho_lz_matrix(basis)
+    op = ho_rotating_hamiltonian(basis, harmonic_rotor(0.3, 0.05))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 1.0
 
@@ -240,9 +241,8 @@ def _subset_basis():
 ], ids=["random-subset", "one-sector", "empty"])
 def test_plane_cut_blocks_match_dense_ladder_reference(basis):
     rotor = harmonic_rotor(0.3, 0.05)
-    H, L = dense_ho_reference(basis, rotor)
+    H, _ = dense_ho_reference(basis, rotor)
     assert np.array_equal(ho_rotating_hamiltonian(basis, rotor).matrix, H)
-    assert np.array_equal(ho_lz_matrix(basis).matrix, L)
 
 
 def test_subset_basis_sectors_differ_in_plane_labels():
@@ -290,15 +290,16 @@ def test_pure_rotation_spectrum_is_exact():
 
 def test_lz_commutes_with_pure_rotation_hamiltonian():
     basis = build_ho_basis(6)
-    H = ho_rotating_hamiltonian(basis, harmonic_rotor(0.4, 0.0)).matrix
-    L = ho_lz_matrix(basis).matrix
+    rotor = harmonic_rotor(0.4, 0.0)
+    H = ho_rotating_hamiltonian(basis, rotor).matrix
+    _, L = dense_ho_reference(basis, rotor)
     comm = H @ L - L @ H
     assert np.max(np.abs(comm)) <= 1e-10 * np.max(np.abs(H)) * np.max(np.abs(L))
 
 
 def test_real_gauge_matches_ladder_matrices():
     # build L_z = i (a_x a_y+ - a_x+ a_y) and the rotating-frame Hamiltonian
-    # from complex ladder elements, then move them to the gauge D = diag(i^n_x)
+    # from complex ladder elements, then move H to the gauge D = diag(i^n_x)
     c = CODATA2018
     basis = build_ho_basis(6)
     rotor = harmonic_rotor(0.3, 0.05)
@@ -318,25 +319,11 @@ def test_real_gauge_matches_ladder_matrices():
     H = np.diag([sum(label) + 1.5 for label in basis.labels]) - wrel * L - vrel * P
     H *= c.hbar * OMEGA0
     D = np.diag([1j ** nx for nx, _, _ in basis.labels])
-    for got, ladder in ((ho_rotating_hamiltonian(basis, rotor).matrix, H),
-                        (ho_lz_matrix(basis).matrix, L)):
-        assert np.isrealobj(got)
-        want = D.conj().T @ ladder @ D
-        assert np.max(np.abs(want.imag)) <= 1e-15 * np.max(np.abs(want))
-        assert np.max(np.abs(got - want.real)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_lz_spectrum_multiplicities():
-    N_max = 5
-    basis = build_ho_basis(N_max)
-    eigs = np.linalg.eigvalsh(ho_lz_matrix(basis).matrix)
-    rounded = np.round(eigs).astype(int)
-    assert np.max(np.abs(eigs - rounded)) <= 1e-9
-    want = []
-    for N in range(N_max + 1):
-        for m in range(-N, N + 1):
-            want.extend([m] * ((N - abs(m)) // 2 + 1))
-    assert sorted(rounded.tolist()) == sorted(want)
+    got = ho_rotating_hamiltonian(basis, rotor).matrix
+    assert np.isrealobj(got)
+    want = D.conj().T @ H @ D
+    assert np.max(np.abs(want.imag)) <= 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want.real)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("wrel,vrel", [
@@ -380,19 +367,14 @@ def closed_form_radial(n, l, lp):
 
 
 def test_radial_integral_matches_closed_form():
-    # quadrature route vs the closed form, every in-shell pair up to n=5
-    for n in range(2, 6):
+    # exact integer-sum route vs the closed form, every in-shell pair up to n=10,
+    # both directions; the rounding of the norms and the final float products
+    # leaves a few parts in 1e16
+    for n in range(2, 11):
         for l in range(n - 1):
-            got = radial_dipole_integral(n, l, l + 1)
-            assert got == pytest.approx(-closed_form_radial(n, l, l + 1), rel=1e-10)
-            assert radial_dipole_integral(n, l + 1, l) == pytest.approx(got, rel=1e-12)
-
-
-def test_laguerre_nodes_are_numpys_bit_for_bit():
-    from numpy.polynomial.laguerre import laggauss
-    for count in (2, 3, 10, 80):
-        for ours, numpys in zip(operators._laguerre_nodes(count), laggauss(count)):
-            assert ours.tobytes() == numpys.tobytes()
+            want = -closed_form_radial(n, l, l + 1)
+            for got in (radial_dipole_integral(n, l, l + 1), radial_dipole_integral(n, l + 1, l)):
+                assert got == pytest.approx(want, rel=2e-15, abs=0)
 
 
 def test_radial_integral_known_value():
