@@ -343,7 +343,11 @@ def _build_rotor(config: dict) -> RotorConfig:
         model = Harmonic(omega0=float(rotor["omega0_rad_s"]))
     else:
         model = Coulomb(Z=int(rotor.get("Z", 1)))
-    return RotorConfig(Omega=omega, R=float(rotor["radius_m"]), model=model)
+    try:
+        return RotorConfig(Omega=omega, R=float(rotor["radius_m"]), model=model)
+    except ResonanceError as exc:
+        # only a harmonic rotor has a resonance, and it takes omega_rad_s
+        raise ResonanceError(f"rotor.omega_rad_s: {exc}") from exc
 
 
 def _build_transition(config: dict) -> Transition:
@@ -416,7 +420,10 @@ def _run_sweep(config: dict, axis: str, values) -> tuple:
     def build(value: float) -> list:
         rotor, drive = rotor0, config.get("drive")
         if axis == "omega" and value != rotor0.Omega:
-            rotor = RotorConfig(Omega=value, R=rotor0.R, model=rotor0.model)
+            try:
+                rotor = RotorConfig(Omega=value, R=rotor0.R, model=rotor0.model)
+            except ResonanceError as exc:
+                raise ResonanceError(f"sweep.from/to: {exc} at swept_value = {_fmt(value)}") from exc
         elif axis == "radius":
             rotor = RotorConfig(Omega=rotor0.Omega, R=value, model=rotor0.model)
         elif axis == "drive":
@@ -577,8 +584,8 @@ def _openblas_threads():
 
 class _OneBlasThread:
     """Runs its block with numpy's bundled OpenBLAS on one thread and gives the
-    caller's count back on the way out.  From 26 states up an eigh wakes a
-    second BLAS thread, which can cost up to about 300 times its wall time
+    caller's count back on the way out.  From 26 states up an eigh's vector
+    stage can wake a second BLAS thread, at up to about 300 times its wall time
     (16-17 ms against 0.05-0.12 ms on one thread, OpenBLAS 0.3.31 on 2 CPUs).
     The count is process-wide, so blocks entered from several threads share
     one pin: the first in sets it, the last out restores."""

@@ -136,11 +136,6 @@ def build_ho_basis(N_max: int) -> TruncatedBasis:
     """
     if not isinstance(N_max, int) or isinstance(N_max, bool) or N_max < 0:
         raise ValidationError("N_max must be a nonnegative integer")
-    return _ho_basis(N_max)
-
-
-@lru_cache(maxsize=8)
-def _ho_basis(N_max: int) -> TruncatedBasis:
     labels = [(nx, ny, nz)
               for nx in range(N_max + 1)
               for ny in range(N_max + 1 - nx)
@@ -187,32 +182,6 @@ def _label_hops(labels):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _ho_plane(basis: TruncatedBasis):
-    # (plane, hop, lz, sectors): all (n_x, n_y) labels, sorted, their hop function,
-    # l_z over them, and (n_z, indices, cut) per n_z sector; cut picks it from the plane.
-    # They depend on the basis alone, so they are built once and shared read-only
-    if basis.kind != "HO3D":
-        raise ValidationError("oscillator operators need an HO3D basis")
-    labels = np.array(basis.labels, dtype=np.int64).reshape(-1, 3)
-    # sorted labels pass each (n_x, n_y) in one run; not np.unique, which imports numpy.ma
-    first = np.diff(labels[:, :2], axis=0, prepend=-1).any(axis=1)
-    position = np.cumsum(first) - 1
-    indices = {z: np.flatnonzero(labels[:, 2] == z) for z in sorted(set(labels[:, 2].tolist()))}
-    sectors = tuple((n_z, i, np.ix_(position[i], position[i])) for n_z, i in indices.items())
-    plane, hop = _label_hops(labels[first, :2])
-    # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>; a hop by
-    # d from occupation n has the ladder factor sqrt(n + max(d, 0))
-    lz = np.zeros((len(plane), len(plane)))
-    for dx, dy in ((-1, 1), (1, -1)):
-        source, target = hop(dx, dy)
-        lz[target, source] = -np.sqrt((plane[source, 0] + max(dx, 0))
-                                      * (plane[source, 1] + max(dy, 0)))
-    for a in chain([plane, lz], *((i, *cut) for _, i, cut in sectors)):
-        a.flags.writeable = False
-    return plane, hop, lz, sectors
-
-
 def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> HermitianOperator:
     """Rotating-frame Hamiltonian of the circularly translated harmonic trap.
 
@@ -221,7 +190,7 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     joules.  The first two terms are diagonal, the angular-momentum term
     couples (n_x, n_y) -> (n_x -+ 1, n_y +- 1) within an oscillator shell,
     and the velocity term couples adjacent shells through p_x.  No term
-    changes n_z, so each n_z sector's block is cut from one plane operator.
+    changes n_z, so each n_z sector is assembled as its own block.
 
     The matrix is written in the gauge |n> -> i^{n_x} |n>, where every
     ladder element is real: L_z has elements -sqrt(n_x (n_y + 1)) and
@@ -230,26 +199,32 @@ def ho_rotating_hamiltonian(basis: TruncatedBasis, rotor: RotorConfig) -> Hermit
     """
     if not isinstance(rotor.model, Harmonic):
         raise ValidationError("rotor model must be Harmonic")
+    if basis.kind != "HO3D":
+        raise ValidationError("oscillator operators need an HO3D basis")
     omega0 = rotor.model.omega0
     wrel = rotor.Omega / omega0
     # dimensionless orbital velocity in trap units sqrt(hbar omega0 / m)
     vrel = rotor.v_c * sqrt(CODATA2018.electron_mass / (CODATA2018.hbar * omega0))
-
-    plane, hop, lz, sectors = _ho_plane(basis)
-    U = -wrel * lz
-    np.fill_diagonal(U, plane.sum(axis=1) + 1.5)
-    # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
-    for dx in (1, -1):
-        source, target = hop(dx, 0)
-        U[target, source] = -vrel * np.sqrt((plane[source, 0] + max(dx, 0)) / 2.0)
-    def blocks():
-        # one at a time, so that from_blocks copies each before the next is cut
-        for n_z, indices, cut in sectors:
-            H = U[cut]
-            np.fill_diagonal(H, H.diagonal() + n_z)
-            H *= CODATA2018.hbar * omega0
-            yield indices, H
-    return HermitianOperator.from_blocks(basis, blocks())
+    labels = np.array(basis.labels, dtype=np.int64).reshape(-1, 3)
+    blocks = []
+    for n_z in sorted(set(labels[:, 2].tolist())):
+        indices = np.flatnonzero(labels[:, 2] == n_z)
+        plane, hop = _label_hops(labels[indices, :2])
+        # l_z = i (a_x a_y+ - a_x+ a_y) in the gauge |n> -> i^{n_x} |n>; a hop by
+        # d from occupation n has the ladder factor sqrt(n + max(d, 0))
+        lz = np.zeros((len(plane), len(plane)))
+        for dx, dy in ((-1, 1), (1, -1)):
+            source, target = hop(dx, dy)
+            lz[target, source] = -np.sqrt((plane[source, 0] + max(dx, 0))
+                                          * (plane[source, 1] + max(dy, 0)))
+        H = -wrel * lz
+        np.fill_diagonal(H, plane.sum(axis=1) + 1.5 + n_z)
+        # -v p_x with p_x = (a_x+ + a_x)/sqrt(2) in trap units and this gauge
+        for dx in (1, -1):
+            source, target = hop(dx, 0)
+            H[target, source] = -vrel * np.sqrt((plane[source, 0] + max(dx, 0)) / 2.0)
+        blocks.append((indices, H * (CODATA2018.hbar * omega0)))
+    return HermitianOperator.from_blocks(basis, blocks)
 
 
 def _circular_mode(slope: float, drive: float, states: int) -> np.ndarray:

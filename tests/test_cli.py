@@ -298,8 +298,28 @@ def test_resonant_harmonic_rotor_exits_3(tmp_path, capsys):
         "rotor": {"omega_rad_s": 1e13, "radius_m": 1e-10, "omega0_rad_s": 1e13},
         "transition": {"upper": [2, 1], "lower": [1, 0]},
     }
-    assert main(["drfs", "--config", write_config(tmp_path, config)]) == 3
-    assert "resonance" in capsys.readouterr().err.lower()
+    path = write_config(tmp_path, config)
+    for command in ("drfs", "spectrum"):
+        assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "resonance" in err.lower()
+        # the message names the config field that sets the rate
+        assert err.startswith("error: rotor.omega_rad_s: ")
+
+
+def test_resonant_omega_sweep_exits_3_naming_the_swept_value(tmp_path, capsys):
+    # the middle of three points from 5e12 to 1.5e13 is omega0 itself
+    config = {
+        "model": "harmonic",
+        "rotor": {"omega_rad_s": 3e12, "radius_m": 1e-10, "omega0_rad_s": 1e13},
+        "transition": {"upper": [2, 1], "lower": [1, 0]},
+        "sweep": {"axis": "omega", "from": 5e12, "to": 1.5e13, "points": 3},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) == 3
+    err = capsys.readouterr().err
+    assert "resonance" in err.lower()
+    assert err.startswith("error: sweep.from/to: ")
+    assert err.rstrip().endswith("at swept_value = 1.00000000000e+13")
 
 
 def test_failed_run_leaves_no_output_file(tmp_path, capsys):
