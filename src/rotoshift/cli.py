@@ -423,7 +423,8 @@ def _run_sweep(config: dict, axis: str, values) -> tuple:
             try:
                 rotor = RotorConfig(Omega=value, R=rotor0.R, model=rotor0.model)
             except ResonanceError as exc:
-                raise ResonanceError(f"sweep.from/to: {exc} at swept_value = {_fmt(value)}") from exc
+                raise ResonanceError(
+                    f"sweep.from/to: {exc} at swept_value = {_fmt(value)}") from exc
         elif axis == "radius":
             rotor = RotorConfig(Omega=rotor0.Omega, R=value, model=rotor0.model)
         elif axis == "drive":
