@@ -536,11 +536,35 @@ def _check_finite(columns, table):
                           "the computation leaves the double-precision range")
 
 
+def _distinct_text(column: np.ndarray, text) -> list:
+    # text(x) of each cell of a float column, called once per distinct value; values are
+    # grouped by their bits, so 0.0 and -0.0 stay apart, through a sort (np.unique would
+    # import numpy.ma)
+    values = np.asarray(column, dtype=float)
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    first = np.empty(len(bits), dtype=bool)
+    first[:1] = True
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(first) - 1
+    distinct = np.array(list(map(text, values[order[first]].tolist())), dtype=object)
+    return distinct[rank].tolist()
+
+
+def _array_cells(table, text) -> tuple:
+    # (cell formats of one row, flattened cells) of a table of int and float arrays:
+    # "%d" over an int column's values, "%s" over a float column's text
+    formats = ["%d" if c.dtype.kind == "i" else "%s" for c in table]
+    columns = [c.tolist() if c.dtype.kind == "i" else _distinct_text(c, text) for c in table]
+    return formats, tuple(chain.from_iterable(zip(*columns)))
+
+
 def _render_csv(columns, table) -> str:
     if all(isinstance(c, np.ndarray) for c in table):
-        # one row format over the flattened cells; "%.11e" % x == _fmt(x) for a float
-        row = ",".join("%d" if c.dtype.kind == "i" else "%.11e" for c in table) + "\n"
-        cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in table))))
+        # one row template over the flattened cells; "%.11e" % x == _fmt(x) for a float
+        formats, cells = _array_cells(table, "%.11e".__mod__)
+        row = ",".join(formats) + "\n"
         return ",".join(columns) + "\n" + (row * (len(table[0]) if table else 0)) % cells
     # the short row-built tables keep _fmt per cell, which costs them less than forming arrays
     cells = (map(_fmt, c) for c in table)
@@ -548,14 +572,24 @@ def _render_csv(columns, table) -> str:
 
 
 def _render_json(command, columns, table) -> str:
-    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table)))
-    # the indent=2 bytes from the C encoder: one cell per line, then the row
-    # brackets; every cell is a number or null, so "],<sep>[" only joins two rows
-    body = json.dumps(rows, separators=(",\n      ", ": "))
-    if rows:
-        body = ("[\n    [\n      " + body[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
-                + "\n    ]\n  ]")
+    # the indent=2 bytes of {"command", "columns", "rows"}: one cell per line, then the
+    # row brackets
     head = json.dumps({"command": command, "columns": columns}, indent=2)
+    if table and all(isinstance(c, np.ndarray) for c in table):
+        # one row template over the flattened cells; float.__repr__ is what json.dumps
+        # writes for a finite float, and _check_finite lets no other through
+        formats, cells = _array_cells(table, float.__repr__)
+        row = "    [\n      " + ",\n      ".join(formats) + "\n    ]"
+        body = ("[\n" + ",\n".join([row] * len(table[0])) % cells + "\n  ]"
+                if len(table[0]) else "[]")
+    else:
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table)))
+        # the C encoder's cells; every cell is a number or null, so "],<sep>[" only
+        # joins two rows
+        body = json.dumps(rows, separators=(",\n      ", ": "))
+        if rows:
+            body = ("[\n    [\n      " + body[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+                    + "\n    ]\n  ]")
     return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 

@@ -168,6 +168,16 @@ def ho_shell_multiplicity(N: int, m_z: int) -> int:
     return (excess >= 0) * (excess // 2 + 1)
 
 
+@lru_cache(maxsize=32)
+def _ho_labels(N_max: int) -> np.ndarray:
+    # every (N, m_z) with |m_z| <= N_max, repeated once per state (none when |m_z| > N);
+    # it depends on N_max alone, so it is built once per size and is read-only
+    N, m_z = np.indices((N_max + 1, 2 * N_max + 1)).reshape(2, -1) - [[0], [N_max]]
+    labels = np.repeat(np.stack([N, m_z], axis=1), ho_shell_multiplicity(N, m_z), axis=0)
+    labels.flags.writeable = False
+    return labels
+
+
 def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
     """Closed-form spectrum of all shells through N_max, with degeneracies.
 
@@ -177,9 +187,7 @@ def ho_rotating_spectrum(N_max: int, rotor: RotorConfig) -> SpectrumResult:
     """
     if not isinstance(N_max, int) or isinstance(N_max, bool) or N_max < 0:
         raise ValidationError("N_max must be a nonnegative integer")
-    # every (N, m_z) with |m_z| <= N_max; those with |m_z| > N have no state
-    N, m_z = np.indices((N_max + 1, 2 * N_max + 1)).reshape(2, -1) - [[0], [N_max]]
-    labels = np.repeat(np.stack([N, m_z], axis=1), ho_shell_multiplicity(N, m_z), axis=0)
+    labels = _ho_labels(N_max)
     return SpectrumResult(labels, _ho_levels(labels[:, 0], labels[:, 1], rotor))
 
 
@@ -203,9 +211,14 @@ def _mode_levels(slope: float, drive: float, count: int):
     # exact level lies within it (Weinstein)
     picked = slice(count) if slope > 0 else slice(-1, -count - 1, -1)
     states = count + 1
+    # no entry depends on the basis size, so each solve takes the leading block of one
+    # matrix, built again only if the growth passes _SMALL_STEPS states
+    mode = _circular_mode(slope, drive, max(states, _SMALL_STEPS))
     while True:
-        mode = _circular_mode(slope, drive, states)
-        vals, vecs = np.linalg.eigh(mode)
+        if states > len(mode):
+            mode = _circular_mode(slope, drive, max(states, _MAX_STATES))
+        block = mode[:states, :states]
+        vals, vecs = np.linalg.eigh(block)
         leaks = abs(drive) * sqrt(states) * np.abs(vecs[-1, picked])
         if leaks.max() <= _CERTIFIED / sqrt(2):
             break
@@ -214,9 +227,23 @@ def _mode_levels(slope: float, drive: float, count: int):
                                    f"certifies the levels to {_CERTIFIED:g} hbar omega0")
         states = min(states + (3 if states < _SMALL_STEPS else states // 4), _MAX_STATES)
     norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    if np.any(np.linalg.norm((mode @ vecs - vecs * vals) / norm, axis=0) > 1e-10):
+    if np.any(np.linalg.norm((block @ vecs - vecs * vals) / norm, axis=0) > 1e-10):
         raise RotoshiftError("eigensolver residual exceeds tolerance")
     return vals[picked], leaks
+
+
+@lru_cache(maxsize=32)
+def _circular_states(N_max: int):
+    # (i, j, n_z, labels) of every state i + j + n_z <= N_max of the two circular modes
+    # and the axial one, with its (N, m_z) = (i + j + n_z, i - j); built once per size,
+    # read-only
+    i, j, n_z = np.indices((N_max + 1,) * 3).reshape(3, -1)
+    keep = i + j + n_z <= N_max
+    i, j, n_z = i[keep], j[keep], n_z[keep]
+    states = (i, j, n_z, np.stack([i + j + n_z, i - j], axis=1))
+    for a in states:
+        a.flags.writeable = False
+    return states
 
 
 def _ho_circular_levels(N_max: int, rotor: RotorConfig):
@@ -242,12 +269,9 @@ def _ho_circular_levels(N_max: int, rotor: RotorConfig):
         raise OutOfRegimeError("the orbital speed leaves the double-precision range")
     (plus, leak_plus), (minus, leak_minus) = (
         _mode_levels(slope, drive, N_max + 1) for slope in (1.0 - wrel, 1.0 + wrel))
-    i, j, n_z = np.indices((N_max + 1,) * 3).reshape(3, -1)
-    keep = i + j + n_z <= N_max
-    i, j, n_z = i[keep], j[keep], n_z[keep]
+    i, j, n_z, labels = _circular_states(N_max)
     quantum = CODATA2018.hbar * omega0
     energies = (plus[i] + minus[j] + n_z + 1.5) * quantum
-    labels = np.stack([i + j + n_z, i - j], axis=1)
     order = np.lexsort((energies, labels[:, 1], labels[:, 0]))
     bounds = np.hypot(leak_plus[i], leak_minus[j]) * quantum
     return labels[order], _finite(energies[order]), bounds[order]

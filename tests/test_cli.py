@@ -946,15 +946,23 @@ EDGE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 @st.composite
 def rendered_tables(draw):
     # int and float arrays (the spectrum tables) mixed with row-built tuples
-    # of None, ints and floats; zero rows and one row included
-    rows = draw(st.integers(0, 4))
+    # of None, ints and floats; zero rows and one row included.  An array
+    # column draws from a small pool of values, as a spectrum's degenerate
+    # levels repeat, and each float pool holds both 0.0 and -0.0, which a
+    # renderer must keep apart
+    rows = draw(st.integers(0, 40))
     cells = {"int": st.integers(-2 ** 63, 2 ** 63 - 1), "float": EDGE_FLOATS,
              "tuple": st.one_of(st.none(), st.integers(-10 ** 20, 10 ** 20), EDGE_FLOATS)}
     table = []
     for kind in draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=4)):
-        values = draw(st.lists(cells[kind], min_size=rows, max_size=rows))
-        table.append(tuple(values) if kind == "tuple"
-                     else np.array(values, dtype=np.int64 if kind == "int" else float))
+        if kind == "tuple":
+            table.append(tuple(draw(st.lists(cells[kind], min_size=rows, max_size=rows))))
+            continue
+        pool = draw(st.lists(cells[kind], min_size=1, max_size=4))
+        if kind == "float":
+            pool += [0.0, -0.0]
+        values = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+        table.append(np.array(values, dtype=np.int64 if kind == "int" else float))
     return [f"column_{j}" for j in range(len(table))], table
 
 
@@ -1134,10 +1142,13 @@ def test_cli_import_leaves_out_scipy():
 
 def test_spectra_leave_out_numpy_ma(tmp_path):
     # numpy.ma costs a process about 25 ms and 0.4 MB when first imported,
-    # as np.unique does, and numpy.polynomial about 0.7 MB; neither spectrum
-    # needs them
+    # as np.unique does, and numpy.polynomial about 0.7 MB; no spectrum needs
+    # them, nor does either renderer's pass over distinct cells (the JSON one
+    # through shell 10)
     harmonic = write_config(tmp_path, dict(harmonic_drfs_config(), basis_n_max=6), "ho.json")
     coulomb = write_config(tmp_path, coulomb_drfs_config(), "coulomb.json")
+    shell_10 = write_config(tmp_path, coulomb_drfs_config(
+        transition={"upper": [10, 2], "lower": [9, 1]}, output={"format": "json"}), "c10.json")
     src = os.path.dirname(os.path.dirname(rotoshift.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     script = ("import sys\n"
@@ -1145,11 +1156,13 @@ def test_spectra_leave_out_numpy_ma(tmp_path):
               "for path in sys.argv[1:]:\n"
               "    assert main(['spectrum', '--config', path, '--out', path + '.csv']) == 0\n"
               "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script, harmonic, coulomb],
+    proc = subprocess.run([sys.executable, "-c", script, harmonic, coulomb, shell_10],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
     assert (tmp_path / "ho.json.csv").exists() and (tmp_path / "coulomb.json.csv").exists()
+    rows = json.loads((tmp_path / "c10.json.csv").read_text())["rows"]
+    assert len(rows) == sum(n * n for n in range(1, 11))
 
 
 def test_drive_sweep_hits_exact_cancellation(tmp_path):

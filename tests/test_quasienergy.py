@@ -316,6 +316,55 @@ def test_circular_oracle_reads_no_closed_form(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_each_mode_solves_its_own_tridiagonal_on_the_same_schedule(monkeypatch):
+    # basis_n_max 14, Omega = 0.1 omega0, v = 0.1: each mode grows 16, 19, 22, 25 states,
+    # and each solve gets that many states' tridiagonal, bit for bit
+    seen = []
+
+    def eigh(a, _f=np.linalg.eigh):
+        seen.append(np.array(a))
+        return _f(a)
+    monkeypatch.setattr(quasienergy.np.linalg, "eigh", eigh)
+    rotor = trap(0.1, 0.1)
+    quasienergy._ho_circular_levels(14, rotor)
+    drive = 0.5 * rotor.v_c * sqrt(C.electron_mass / (C.hbar * 1e13))
+    wrel = rotor.Omega / 1e13
+    sizes = [16, 19, 22, 25]
+    assert [len(a) for a in seen] == sizes * 2
+    for a, slope, K in zip(seen, [1.0 - wrel] * 4 + [1.0 + wrel] * 4, sizes * 2):
+        assert a.tobytes() == quasienergy._circular_mode(slope, drive, K).tobytes()
+
+
+def test_basis_size_tables_are_built_once_and_read_only():
+    for table in (quasienergy._ho_labels, quasienergy._circular_states):
+        table.cache_clear()
+    for rotor in (trap(0.1, 0.1), trap(-0.3, 0.02)):
+        ho_rotating_spectrum(12, rotor)
+        quasienergy._ho_circular_levels(12, rotor)
+    for table in (quasienergy._ho_labels, quasienergy._circular_states):
+        assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+    for a in (quasienergy._ho_labels(12), *quasienergy._circular_states(12)):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 7
+
+
+def test_a_caller_changing_a_spectrum_leaves_the_next_one_alone():
+    rotor = trap(0.1, 0.1)
+    numeric = [a.copy() for a in quasienergy._ho_circular_levels(12, rotor)]
+    closed = ho_rotating_spectrum(12, rotor)
+    labels, energies = closed.labels.copy(), closed.energies.copy()
+    for a in quasienergy._ho_circular_levels(12, rotor):
+        a[...] = 7
+    for a in (closed.labels, closed.energies):
+        # a SpectrumResult's arrays own their bytes, so a caller can lift the flag
+        a.flags.writeable = True
+        a[...] = 7
+    assert all(np.array_equal(a, b)
+               for a, b in zip(quasienergy._ho_circular_levels(12, rotor), numeric))
+    again = ho_rotating_spectrum(12, rotor)
+    assert np.array_equal(again.labels, labels) and np.array_equal(again.energies, energies)
+
+
 # ---------------------------------------------------------------------------
 # crossed-field closed forms vs perturbation theory
 # ---------------------------------------------------------------------------
