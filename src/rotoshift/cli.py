@@ -38,15 +38,15 @@ from .constants import CODATA2018
 from .errors import (OutOfRegimeError, ResonanceError, RotoshiftError,
                      ValidationError, double_precision)
 # build_ho_basis, ho_rotating_hamiltonian, eigen_spectrum, ho_rotating_levels,
-# rotating_coulomb_levels, driven_splitting_parameter and
+# ho_rotating_spectrum, rotating_coulomb_levels, driven_splitting_parameter and
 # splitting_expansion_parameter are no longer called here; they stay
 # importable for perfbench/spans.py, which wraps them by this module's name
 from .operators import (build_ho_basis, ho_rotating_hamiltonian,
                         manifold_perturbation)
-from .quasienergy import (_bohr_level, _ho_circular_levels, driven_rotating_levels,
-                          driven_splitting_parameter, eigen_spectrum,
-                          first_order_degenerate_levels, ho_rotating_levels,
-                          ho_rotating_spectrum, rotating_coulomb_levels,
+from .quasienergy import (_bohr_level, _finite, _ho_circular_levels, _ho_labels, _ho_levels,
+                          driven_rotating_levels, driven_splitting_parameter,
+                          eigen_spectrum, first_order_degenerate_levels,
+                          ho_rotating_levels, ho_rotating_spectrum, rotating_coulomb_levels,
                           rotating_coulomb_spectrum, splitting_expansion_parameter)
 from .rotor import (_MAX_Z, Coulomb, Harmonic, RotorConfig, drive_field_vector,
                     fictitious_fields)
@@ -441,25 +441,26 @@ def _run_spectrum(config: dict):
     # the config is valid here, so the closed form's one remaining objection
     # is a level or rate that leaves double precision: out of regime (exit 3)
     try:
-        analytic = (ho_rotating_spectrum if harmonic else rotating_coulomb_spectrum)(top, rotor)
+        if harmonic:
+            N, m_z = _ho_labels(top).T
+            closed = _finite(_ho_levels(N, m_z, rotor))
+        else:
+            analytic = rotating_coulomb_spectrum(top, rotor)
     except (ValidationError, OutOfRegimeError) as exc:
         raise OutOfRegimeError(f"quasi_energy_closed_form_J: {exc}") from exc
     if harmonic:
         try:
-            labels, levels, bounds = _ho_circular_levels(top, rotor)
+            numeric, bound = _ho_circular_levels(top, rotor)
         except OutOfRegimeError as exc:
             # a slower orbit, at the same rotation, needs fewer circular quanta
             raise OutOfRegimeError(f"rotor.radius_m: {exc}") from exc
-        # each closed-form row takes the numeric level of its own (N, m_z), both in
-        # ascending order within a label; the two routes enumerate the same labels
-        order = np.lexsort((analytic.energies, *analytic.labels.T[::-1]))
-        if not np.array_equal(analytic.labels[order], labels):
-            raise RotoshiftError("the numeric and closed-form levels carry different labels")
-        numeric, bound = np.empty_like(levels), np.empty_like(bounds)
-        numeric[order], bound[order] = levels, bounds
+        # both routes run in _ho_labels' row order, so each row already holds one
+        # state's two levels; one sort orders the rows by closed form, then label,
+        # and within a label by numeric level
+        order = np.lexsort((numeric, m_z, N, closed))
         columns = ["quasi_energy_diagonalized_J", "truncation_bound_J"]
         return (["index", "shell", "m_z", "quasi_energy_closed_form_J", *columns],
-                [np.arange(len(numeric)), *analytic.labels.T, analytic.energies, numeric, bound])
+                [np.arange(len(order)), *(a[order] for a in (N, m_z, closed, numeric, bound))])
     fields = fictitious_fields(rotor)
     pieces = []
     for n in range(1, top + 1):

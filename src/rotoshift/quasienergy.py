@@ -44,8 +44,9 @@ class SpectrumResult:
     energies: np.ndarray
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
-        energies = _finite(np.array(self.energies, dtype=float))
+        # cast without a copy: the sorted fancy index below makes the one copy
+        labels = np.asarray(self.labels, dtype=np.int64)
+        energies = _finite(np.asarray(self.energies, dtype=float))
         if (energies.ndim != 1 or labels.shape != (len(energies), 2)
                 or np.any(labels != np.asarray(self.labels))):
             raise ValidationError("a spectrum needs one integer (q, m_z) row per quasi-energy")
@@ -234,16 +235,17 @@ def _mode_levels(slope: float, drive: float, count: int):
 
 @lru_cache(maxsize=32)
 def _circular_states(N_max: int):
-    # (i, j, n_z, labels) of every state i + j + n_z <= N_max of the two circular modes
-    # and the axial one, with its (N, m_z) = (i + j + n_z, i - j); built once per size,
-    # read-only
-    i, j, n_z = np.indices((N_max + 1,) * 3).reshape(3, -1)
-    keep = i + j + n_z <= N_max
-    i, j, n_z = i[keep], j[keep], n_z[keep]
-    states = (i, j, n_z, np.stack([i + j + n_z, i - j], axis=1))
-    for a in states:
-        a.flags.writeable = False
-    return states
+    # (i, j, n_z) of every state i + j + n_z <= N_max of the two circular modes and the
+    # axial one, in _ho_labels(N_max)'s row order: by (N, m_z) = (i + j + n_z, i - j),
+    # then by i.  Its labels are checked against that table here, so a level is paired
+    # with its closed form by row; built once per size, read-only
+    states = np.indices((N_max + 1,) * 3).reshape(3, -1)
+    i, j, n_z = states = states[:, states.sum(axis=0) <= N_max]
+    i, j, n_z = states = states[:, np.lexsort((i, i - j, i + j + n_z))]
+    if not np.array_equal(np.stack([i + j + n_z, i - j], axis=1), _ho_labels(N_max)):
+        raise RotoshiftError("the numeric and closed-form levels carry different labels")
+    states.flags.writeable = False
+    return tuple(states)
 
 
 def _ho_circular_levels(N_max: int, rotor: RotorConfig):
@@ -255,9 +257,8 @@ def _ho_circular_levels(N_max: int, rotor: RotorConfig):
     trap units.  The two modes never couple, so each is one tridiagonal, solved
     on its own and grown until it is certified.  Level (i, j, n_z) is
     e+[i] + e-[j] + n_z + 3/2 with label (N, m_z) = (i + j + n_z, i - j).
-    Returns (labels, energies, bounds): one int64 (N, m_z) row per state with
-    N <= N_max, sorted by label and within a label by energy; the energies and
-    the truncation bounds hypot(leak+[i], leak-[j]) are in J.  Reads no closed
+    Returns (energies, truncation bounds hypot(leak+[i], leak-[j])) in J, one per
+    state with N <= N_max, in _ho_labels(N_max)'s row order.  Reads no closed
     form; OutOfRegimeError when no basis up to _MAX_STATES certifies the levels.
     """
     if not isinstance(rotor.model, Harmonic):
@@ -269,12 +270,10 @@ def _ho_circular_levels(N_max: int, rotor: RotorConfig):
         raise OutOfRegimeError("the orbital speed leaves the double-precision range")
     (plus, leak_plus), (minus, leak_minus) = (
         _mode_levels(slope, drive, N_max + 1) for slope in (1.0 - wrel, 1.0 + wrel))
-    i, j, n_z, labels = _circular_states(N_max)
+    i, j, n_z = _circular_states(N_max)
     quantum = CODATA2018.hbar * omega0
     energies = (plus[i] + minus[j] + n_z + 1.5) * quantum
-    order = np.lexsort((energies, labels[:, 1], labels[:, 0]))
-    bounds = np.hypot(leak_plus[i], leak_minus[j]) * quantum
-    return labels[order], _finite(energies[order]), bounds[order]
+    return _finite(energies), np.hypot(leak_plus[i], leak_minus[j]) * quantum
 
 
 # ---------------------------------------------------------------------------

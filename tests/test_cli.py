@@ -397,6 +397,29 @@ def test_harmonic_spectrum_sees_the_sense_of_rotation(tmp_path, capsys):
     assert miss >= 0.5 * C.hbar * 1e13
 
 
+@pytest.mark.parametrize("w", [-0.6, 1.5])
+def test_harmonic_spectrum_rows_run_by_closed_form_then_label(tmp_path, capsys, w):
+    # one sort orders the rows by (closed form, N, m_z), and by numeric level within a label
+    rows = spectrum_rows(tmp_path, capsys, trap_spectrum_config(10, w, 0.1))
+    assert len(rows) == 286
+    closed, numeric, bound = rows[:, 3], rows[:, 4], rows[:, 5]
+    keys = [tuple(row) for row in rows[:, [3, 1, 2]].tolist()]
+    assert keys == sorted(keys)
+    same = (rows[1:, 1:3] == rows[:-1, 1:3]).all(axis=1)
+    assert np.all(numeric[1:][same] >= numeric[:-1][same])
+    scale = np.max(np.abs(closed))
+    assert np.all(np.abs(numeric - closed) <= bound + 1e-12 * scale)
+
+
+def test_harmonic_spectrum_checks_the_closed_form_before_the_oracle(tmp_path, capsys):
+    # an orbit this wide overflows both routes; the closed form is the one named
+    config = {"model": "harmonic", "basis_n_max": 4,
+              "rotor": {"omega_rad_s": 3e12, "radius_m": 1e300, "omega0_rad_s": 1e13}}
+    assert main(["spectrum", "--config", write_config(tmp_path, config)]) == 3
+    assert capsys.readouterr().err == (
+        "error: quasi_energy_closed_form_J: every quasi-energy must be finite\n")
+
+
 @pytest.mark.parametrize("config", [
     {"model": "harmonic", "basis_n_max": 10,
      "rotor": {"omega_rad_s": 3e12, "radius_m": 1e-3, "omega0_rad_s": 1e13}},

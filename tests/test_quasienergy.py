@@ -291,7 +291,8 @@ def test_circular_oracle_levels_lie_within_their_bounds(n_max, monkeypatch):
         for v in (0.02, 0.1, 0.5):
             rotor = trap(w, v)
             sizes.clear()
-            labels, energies, bounds = quasienergy._ho_circular_levels(n_max, rotor)
+            energies, bounds = quasienergy._ho_circular_levels(n_max, rotor)
+            labels = quasienergy._ho_labels(n_max)
             closed = by_label(*[getattr(ho_rotating_spectrum(n_max, rotor), a)
                                 for a in ("labels", "energies")])
             assert by_label(labels, energies).keys() == closed.keys()
@@ -341,11 +342,30 @@ def test_basis_size_tables_are_built_once_and_read_only():
     for rotor in (trap(0.1, 0.1), trap(-0.3, 0.02)):
         ho_rotating_spectrum(12, rotor)
         quasienergy._ho_circular_levels(12, rotor)
-    for table in (quasienergy._ho_labels, quasienergy._circular_states):
-        assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+    # the state table reads the label table once, when it checks its own labels
+    assert [(table.cache_info().misses, table.cache_info().hits)
+            for table in (quasienergy._ho_labels, quasienergy._circular_states)] == [(1, 2), (1, 1)]
     for a in (quasienergy._ho_labels(12), *quasienergy._circular_states(12)):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 7
+
+
+def test_state_table_runs_in_label_order(monkeypatch):
+    # (N, m_z) = (i + j + n_z, i - j) row for row with _ho_labels, i ascending within a label
+    for n_max in range(21):
+        i, j, n_z = quasienergy._circular_states(n_max)
+        labels = quasienergy._ho_labels(n_max)
+        assert np.array_equal(np.stack([i + j + n_z, i - j], axis=1), labels)
+        same = (labels[1:] == labels[:-1]).all(axis=1)
+        assert np.all(i[1:][same] > i[:-1][same]), n_max
+    # an enumeration that misses a state is refused when the table is built
+    monkeypatch.setattr(quasienergy, "_ho_labels", lambda N_max: labels[1:])
+    quasienergy._circular_states.cache_clear()
+    try:
+        with pytest.raises(RotoshiftError, match="carry different labels"):
+            quasienergy._circular_states(20)
+    finally:
+        quasienergy._circular_states.cache_clear()
 
 
 def test_a_caller_changing_a_spectrum_leaves_the_next_one_alone():
