@@ -30,7 +30,7 @@ import stat
 import sys
 import threading
 from functools import lru_cache
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
@@ -553,22 +553,31 @@ def _distinct_text(column: np.ndarray, text) -> list:
     return distinct[rank].tolist()
 
 
-def _array_cells(table, text) -> tuple:
-    # (cell formats of one row, flattened cells) of a table of int and float arrays:
-    # "%d" over an int column's values, "%s" over a float column's text
-    formats = ["%d" if c.dtype.kind == "i" else "%s" for c in table]
-    columns = [c.tolist() if c.dtype.kind == "i" else _distinct_text(c, text) for c in table]
-    return formats, tuple(chain.from_iterable(zip(*columns)))
+def _int_text(column: np.ndarray) -> list:
+    # str of each cell of an int column, looked up in a text table of the column's range
+    # when that range is under half the column's length (a label column); the table is
+    # then shorter than the column, and a wider range takes str per cell
+    low, high = (int(column.min()), int(column.max())) if len(column) else (0, 0)
+    if 2 * (high - low) >= len(column):
+        return list(map(str, column.tolist()))
+    texts = np.array(list(map(str, range(low, high + 1))), dtype=object)
+    return texts[column - low].tolist()
+
+
+def _array_text(table, text) -> list:
+    # the cells of a table of int and float arrays as text, one list per column: str of
+    # each int, and text(x) of each float, called once per distinct value over every float
+    # column together
+    floats = [c for c in table if c.dtype.kind != "i"]
+    cells = iter(_distinct_text(np.concatenate(floats), text) if floats else ())
+    return [_int_text(c) if c.dtype.kind == "i" else list(islice(cells, len(c))) for c in table]
 
 
 def _render_csv(columns, table) -> str:
-    if all(isinstance(c, np.ndarray) for c in table):
-        # one row template over the flattened cells; "%.11e" % x == _fmt(x) for a float
-        formats, cells = _array_cells(table, "%.11e".__mod__)
-        row = ",".join(formats) + "\n"
-        return ",".join(columns) + "\n" + (row * (len(table[0]) if table else 0)) % cells
-    # the short row-built tables keep _fmt per cell, which costs them less than forming arrays
-    cells = (map(_fmt, c) for c in table)
+    # "%.11e" % x == _fmt(x) for a float; the short row-built tables keep _fmt per cell,
+    # which costs them less than forming arrays
+    cells = (_array_text(table, "%.11e".__mod__) if all(isinstance(c, np.ndarray) for c in table)
+             else [map(_fmt, c) for c in table])
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -577,12 +586,11 @@ def _render_json(command, columns, table) -> str:
     # row brackets
     head = json.dumps({"command": command, "columns": columns}, indent=2)
     if table and all(isinstance(c, np.ndarray) for c in table):
-        # one row template over the flattened cells; float.__repr__ is what json.dumps
-        # writes for a finite float, and _check_finite lets no other through
-        formats, cells = _array_cells(table, float.__repr__)
-        row = "    [\n      " + ",\n      ".join(formats) + "\n    ]"
-        body = ("[\n" + ",\n".join([row] * len(table[0])) % cells + "\n  ]"
-                if len(table[0]) else "[]")
+        # float.__repr__ is what json.dumps writes for a finite float, and _check_finite
+        # lets no other through
+        rows = list(map(",\n      ".join, zip(*_array_text(table, float.__repr__))))
+        body = ("[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+                if rows else "[]")
     else:
         rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table)))
         # the C encoder's cells; every cell is a number or null, so "],<sep>[" only

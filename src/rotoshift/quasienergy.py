@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import copysign, hypot, isfinite, sqrt
+from math import copysign, hypot, inf, isfinite, lgamma, log, sqrt
 from typing import Tuple
 
 import numpy as np
@@ -203,30 +203,80 @@ _MAX_STATES = 400
 _SMALL_STEPS = 96
 
 
+@lru_cache(maxsize=32)
+def _mode_sizes(count: int) -> tuple:
+    # the basis sizes a mode of count ladder states may take, ascending: count + 1, then
+    # steps of 3 through _SMALL_STEPS states, then steps of a quarter, up to _MAX_STATES;
+    # it depends on count alone, so it is built once per count
+    sizes = [count + 1]
+    while sizes[-1] != _MAX_STATES:
+        step = 3 if sizes[-1] < _SMALL_STEPS else sizes[-1] // 4
+        sizes.append(min(sizes[-1] + step, _MAX_STATES))
+    return tuple(sizes)
+
+
+def _predicted_size(sizes: tuple, slope: float, drive: float, count: int) -> int:
+    # index of the first size K whose predicted leak drive sqrt(K) |<K-1|D(alpha)|k>| is
+    # below the bound, taking the top ladder state k = count - 1 as the displaced number
+    # state D(alpha)|k> with alpha = |drive/slope|, to lowest order in alpha:
+    # |<K-1|D|k>| = alpha^d sqrt(C(K-1, k)/d!) with d = K - count; the last index when no
+    # size is.  It only picks where the search starts, so it need not be exact, and it
+    # reads no level of either route
+    if drive == 0.0:
+        return 0
+    log_alpha = log(abs(drive)) - log(abs(slope)) if slope else inf
+    limit = log(_CERTIFIED / sqrt(2) / abs(drive))
+    for index, states in enumerate(sizes):
+        d = states - count
+        if (0.5 * (log(states) + lgamma(states) - lgamma(count)) + d * log_alpha
+                - lgamma(d + 1) <= limit):
+            return index
+    return len(sizes) - 1
+
+
 def _mode_levels(slope: float, drive: float, count: int):
     # (levels, leaks) of the ladder states k = 0 .. count-1 of slope n - drive (a + a+),
-    # from the smallest basis in the schedule whose every leak is below _CERTIFIED/sqrt(2).
-    # k counts upward from the lowest level when the slope is positive, downward from
-    # the highest when it is negative.  The leak drive sqrt(K) |u_{K-1}| of an eigenvector
-    # u of the K-state truncation is the norm of its residual in the full ladder, so an
-    # exact level lies within it (Weinstein)
+    # from the smallest basis in _mode_sizes(count) whose every leak is below
+    # _CERTIFIED/sqrt(2).  k counts upward from the lowest level when the slope is
+    # positive, downward from the highest when it is negative.  The leak
+    # drive sqrt(K) |u_{K-1}| of an eigenvector u of the K-state truncation is the norm of
+    # its residual in the full ladder, so an exact level lies within it (Weinstein)
     picked = slice(count) if slope > 0 else slice(-1, -count - 1, -1)
-    states = count + 1
-    # no entry depends on the basis size, so each solve takes the leading block of one
-    # matrix, built again only if the growth passes _SMALL_STEPS states
-    mode = _circular_mode(slope, drive, max(states, _SMALL_STEPS))
+    sizes = _mode_sizes(count)
+    # sizes[lo] fails and sizes[hi] certifies (-1 and len(sizes) stand for none yet); the
+    # search starts at the predicted size and doubles its step away from it until the two
+    # bracket the first certifying size, then bisects, so it ends where a scan of every
+    # size from the smallest would, as the leak falls with the basis size
+    lo, hi, step = -1, len(sizes), 1
+    index = _predicted_size(sizes, slope, drive, count)
+    mode = np.zeros((0, 0))
     while True:
+        states = sizes[index]
         if states > len(mode):
-            mode = _circular_mode(slope, drive, max(states, _MAX_STATES))
+            # no entry depends on the basis size, so each solve takes the leading block
+            # of one matrix, built through _SMALL_STEPS states, or else through _MAX_STATES
+            mode = _circular_mode(slope, drive, _SMALL_STEPS if states <= _SMALL_STEPS
+                                  else max(states, _MAX_STATES))
         block = mode[:states, :states]
         vals, vecs = np.linalg.eigh(block)
         leaks = abs(drive) * sqrt(states) * np.abs(vecs[-1, picked])
         if leaks.max() <= _CERTIFIED / sqrt(2):
-            break
-        if states == _MAX_STATES:
+            hi, solved = index, (block, vals, vecs, leaks)
+        else:
+            lo = index
+        if lo == len(sizes) - 1:
             raise OutOfRegimeError(f"no circular-mode basis of up to {_MAX_STATES} states "
                                    f"certifies the levels to {_CERTIFIED:g} hbar omega0")
-        states = min(states + (3 if states < _SMALL_STEPS else states // 4), _MAX_STATES)
+        if hi - lo == 1:
+            break
+        if hi == len(sizes):
+            index = min(lo + step, len(sizes) - 1)
+        elif lo < 0:
+            index = max(hi - step, 0)
+        else:
+            index = (lo + hi) // 2
+        step *= 2
+    block, vals, vecs, leaks = solved
     norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     if np.any(np.linalg.norm((block @ vecs - vecs * vals) / norm, axis=0) > 1e-10):
         raise RotoshiftError("eigensolver residual exceeds tolerance")

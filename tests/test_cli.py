@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -1007,6 +1008,29 @@ def test_render_csv_is_fmt_per_cell(data):
     columns, table = data
     lines = [",".join(columns)] + [",".join(map(cli._fmt, row)) for row in zip(*table)]
     assert cli._render_csv(columns, table) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("table", [
+    [np.array([-2 ** 53]), np.array([2 ** 53]), np.array([0.5])],
+    [np.array([-2 ** 53, 2 ** 53]), np.array([-0.0, 1e300])],
+    [np.array([-2 ** 63, 2 ** 63 - 1, 0])],
+], ids=["one-row", "two-rows", "int64-extremes"])
+def test_int_text_of_a_wide_range_takes_no_table(table):
+    # an int column whose values lie far apart is written per cell, not from a text
+    # table of its range, which would hold some 2**54 strings
+    columns = [f"column_{j}" for j in range(len(table))]
+    lines = [",".join(columns)] + [",".join(map(cli._fmt, row)) for row in zip(*table)]
+    tracemalloc.start()
+    try:
+        got = cli._render_csv(columns, table), cli._render_json("spectrum", columns, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == "\n".join(lines) + "\n"
+    rows = [[v.item() for v in row] for row in zip(*table)]
+    assert got[1] == json.dumps({"command": "spectrum", "columns": columns, "rows": rows},
+                                indent=2) + "\n"
+    assert peak < 2 ** 20
 
 
 def test_underflowing_orbital_speed_leaves_doppler_ratio_empty(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 from rotoshift import quasienergy
 
 from rotoshift import (CODATA2018, Coulomb, CrossedFields, Harmonic, HermitianOperator,
-                       PerturbativeRegimeWarning, RotoshiftError, RotorConfig,
+                       OutOfRegimeError, PerturbativeRegimeWarning, RotoshiftError, RotorConfig,
                        SpectrumResult, StateNotFoundError, ValidationError,
                        atomic_velocity, build_ho_basis, crossed_field_levels,
                        driven_rotating_levels, driven_splitting_parameter,
@@ -277,20 +277,48 @@ def by_label(labels, energies):
     return {label: sorted(values) for label, values in table.items()}
 
 
+def truncation(slope, drive, count, states):
+    # (levels, leaks) of the ladder states a mode reports, from its states-state
+    # tridiagonal built and solved on its own
+    picked = slice(count) if slope > 0 else slice(-1, -count - 1, -1)
+    vals, vecs = np.linalg.eigh(quasienergy._circular_mode(slope, drive, states))
+    return vals[picked], abs(drive) * sqrt(states) * np.abs(vecs[-1, picked])
+
+
+def forward_scan(slope, drive, count):
+    # the reference search: each size count + 1, + 4, + 7, ... through 96 states, then up
+    # by a quarter to 400, solved in turn until every leak is below 3e-13/sqrt(2);
+    # (size, levels, leaks, solves), with size None when no size certifies
+    states, solves = count + 1, 0
+    while True:
+        levels, leaks = truncation(slope, drive, count, states)
+        solves += 1
+        if leaks.max() <= 3e-13 / sqrt(2):
+            return states, levels, leaks, solves
+        if states == 400:
+            return None, None, None, solves
+        states = min(states + (3 if states < 96 else states // 4), 400)
+
+
+def mode_drive(rotor):
+    # the drive (v/2) of each circular mode, in trap units
+    return 0.5 * rotor.v_c * sqrt(C.electron_mass / (C.hbar * rotor.model.omega0))
+
+
 @pytest.mark.parametrize("n_max", [14, 20])
 def test_circular_oracle_levels_lie_within_their_bounds(n_max, monkeypatch):
     # the ROADMAP grid, with both senses of rotation and a rotation past the trap frequency;
     # levels near zero at 1.5 omega0 are compared on the scale of the whole spectrum
-    sizes = []
+    blocks = []
 
     def eigh(a, _f=np.linalg.eigh):
-        sizes.append(len(a))
+        blocks.append(np.array(a))
         return _f(a)
     monkeypatch.setattr(quasienergy.np.linalg, "eigh", eigh)
     for w in (-0.6, 0.05, 0.3, 0.6, 0.9, 1.5):
         for v in (0.02, 0.1, 0.5):
             rotor = trap(w, v)
-            sizes.clear()
+            blocks.clear()
             energies, bounds = quasienergy._ho_circular_levels(n_max, rotor)
             labels = quasienergy._ho_labels(n_max)
             closed = by_label(*[getattr(ho_rotating_spectrum(n_max, rotor), a)
@@ -301,8 +329,19 @@ def test_circular_oracle_levels_lie_within_their_bounds(n_max, monkeypatch):
             assert np.all(np.abs(energies - want) <= bounds + 1e-12 * scale), (w, v)
             assert np.all(bounds <= 3e-13 * C.hbar * 1e13)
             if (w, v) == (0.9, 0.5):
-                # the slow mode, slope 0.1, grows its basis well past the first try
-                assert len(sizes) > 2 and 62 <= max(sizes) - n_max <= 69, sizes
+                # the slow mode, slope 0.1, certifies a basis well past the first try:
+                # its levels and leaks are those of that basis solved on its own, and
+                # the schedule size below it leaves a leak above the bound
+                slope, drive = 1.0 - w, mode_drive(rotor)
+                ours = [a for a in blocks if a[1, 1] == slope]
+                states, levels, leaks, _ = forward_scan(slope, drive, n_max + 1)
+                assert 62 <= states - n_max <= 69, states
+                assert [a.tobytes() for a in ours if len(a) == states] == [
+                    quasienergy._circular_mode(slope, drive, states).tobytes()]
+                got = quasienergy._mode_levels(slope, drive, n_max + 1)
+                assert [a.tobytes() for a in got] == [levels.tobytes(), leaks.tobytes()]
+                below = truncation(slope, drive, n_max + 1, states - 3)[1]
+                assert below.max() > 3e-13 / sqrt(2)
 
 
 def test_circular_oracle_reads_no_closed_form(monkeypatch):
@@ -318,8 +357,10 @@ def test_circular_oracle_reads_no_closed_form(monkeypatch):
 
 
 def test_each_mode_solves_its_own_tridiagonal_on_the_same_schedule(monkeypatch):
-    # basis_n_max 14, Omega = 0.1 omega0, v = 0.1: each mode grows 16, 19, 22, 25 states,
-    # and each solve gets that many states' tridiagonal, bit for bit
+    # basis_n_max 14, Omega = 0.1 omega0, v = 0.1: each mode certifies at 25 states, and
+    # not at 22, the schedule size below; each solve gets that many states' tridiagonal,
+    # bit for bit, and each mode's levels and leaks are those of its 25-state solve, in no
+    # more solves than a scan of 16, 19, 22 and 25 states
     seen = []
 
     def eigh(a, _f=np.linalg.eigh):
@@ -328,12 +369,45 @@ def test_each_mode_solves_its_own_tridiagonal_on_the_same_schedule(monkeypatch):
     monkeypatch.setattr(quasienergy.np.linalg, "eigh", eigh)
     rotor = trap(0.1, 0.1)
     quasienergy._ho_circular_levels(14, rotor)
-    drive = 0.5 * rotor.v_c * sqrt(C.electron_mass / (C.hbar * 1e13))
-    wrel = rotor.Omega / 1e13
-    sizes = [16, 19, 22, 25]
-    assert [len(a) for a in seen] == sizes * 2
-    for a, slope, K in zip(seen, [1.0 - wrel] * 4 + [1.0 + wrel] * 4, sizes * 2):
-        assert a.tobytes() == quasienergy._circular_mode(slope, drive, K).tobytes()
+    seen = seen.copy()
+    assert len(seen) <= 8
+    drive, wrel = mode_drive(rotor), rotor.Omega / 1e13
+    for slope in (1.0 - wrel, 1.0 + wrel):
+        blocks = [a for a in seen if a[1, 1] == slope]
+        assert 25 in [len(a) for a in blocks]
+        for a in blocks:
+            assert a.tobytes() == quasienergy._circular_mode(slope, drive, len(a)).tobytes()
+        levels, leaks = truncation(slope, drive, 15, 25)
+        got = quasienergy._mode_levels(slope, drive, 15)
+        assert [a.tobytes() for a in got] == [levels.tobytes(), leaks.tobytes()]
+        assert leaks.max() <= 3e-13 / sqrt(2) < truncation(slope, drive, 15, 22)[1].max()
+
+
+GRID = [(slope, drive, count) for slope in (1.9, 1.0, 0.3, 0.05, -0.05, -0.4, -1.5)
+        for drive in (1e-3, 0.05, 0.3, 0.6, 2.0) for count in (1, 2, 11, 21)]
+
+
+@pytest.mark.parametrize("slope, drive, count", GRID)
+def test_mode_search_ends_where_the_forward_scan_does(slope, drive, count, monkeypatch):
+    # the predicted start and the bisection end on the first certifying size of the
+    # schedule, with the same level and leak bytes, or exit 3 past 400 states, in no more
+    # solves than a scan of every size from the smallest
+    sizes = []
+
+    def eigh(a, _f=np.linalg.eigh):
+        sizes.append(len(a))
+        return _f(a)
+    states, levels, leaks, solves = forward_scan(slope, drive, count)
+    monkeypatch.setattr(quasienergy.np.linalg, "eigh", eigh)
+    if states is None:
+        with pytest.raises(OutOfRegimeError, match="no circular-mode basis of up to 400 states"):
+            quasienergy._mode_levels(slope, drive, count)
+        assert 400 in sizes
+    else:
+        got = quasienergy._mode_levels(slope, drive, count)
+        assert [a.tobytes() for a in got] == [levels.tobytes(), leaks.tobytes()]
+        assert states in sizes
+    assert len(sizes) <= solves
 
 
 def test_basis_size_tables_are_built_once_and_read_only():
