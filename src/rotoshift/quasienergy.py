@@ -220,7 +220,7 @@ def _predicted_size(sizes: tuple, slope: float, drive: float, count: int) -> int
     # below the bound, taking the top ladder state k = count - 1 as the displaced number
     # state D(alpha)|k> with alpha = |drive/slope|, to lowest order in alpha:
     # |<K-1|D|k>| = alpha^d sqrt(C(K-1, k)/d!) with d = K - count; the last index when no
-    # size is.  It only picks where the search starts, so it need not be exact, and it
+    # size is.  It only picks where the walk starts, so it need not be exact, and it
     # reads no level of either route
     if drive == 0.0:
         return 0
@@ -243,39 +243,34 @@ def _mode_levels(slope: float, drive: float, count: int):
     # its residual in the full ladder, so an exact level lies within it (Weinstein)
     picked = slice(count) if slope > 0 else slice(-1, -count - 1, -1)
     sizes = _mode_sizes(count)
-    # sizes[lo] fails and sizes[hi] certifies (-1 and len(sizes) stand for none yet); the
-    # search starts at the predicted size and doubles its step away from it until the two
-    # bracket the first certifying size, then bisects, so it ends where a scan of every
-    # size from the smallest would, as the leak falls with the basis size
-    lo, hi, step = -1, len(sizes), 1
-    index = _predicted_size(sizes, slope, drive, count)
+    # the walk starts at the predicted size and steps one size down while it certifies,
+    # or one size up until it does (step is 0 before the first solve), so it ends where a
+    # scan of every size from the smallest would, as the leak falls with the basis size
+    index, step = _predicted_size(sizes, slope, drive, count), 0
     mode = np.zeros((0, 0))
     while True:
         states = sizes[index]
         if states > len(mode):
             # no entry depends on the basis size, so each solve takes the leading block
-            # of one matrix, built through _SMALL_STEPS states, or else through _MAX_STATES
+            # of one matrix, built through _SMALL_STEPS or through _MAX_STATES states
             mode = _circular_mode(slope, drive, _SMALL_STEPS if states <= _SMALL_STEPS
-                                  else max(states, _MAX_STATES))
+                                  else _MAX_STATES)
         block = mode[:states, :states]
         vals, vecs = np.linalg.eigh(block)
         leaks = abs(drive) * sqrt(states) * np.abs(vecs[-1, picked])
         if leaks.max() <= _CERTIFIED / sqrt(2):
-            hi, solved = index, (block, vals, vecs, leaks)
+            solved = (block, vals, vecs, leaks)
+            if step > 0 or index == 0:
+                break
+            step = -1
+        elif step < 0:
+            break
+        elif index < len(sizes) - 1:
+            step = 1
         else:
-            lo = index
-        if lo == len(sizes) - 1:
             raise OutOfRegimeError(f"no circular-mode basis of up to {_MAX_STATES} states "
                                    f"certifies the levels to {_CERTIFIED:g} hbar omega0")
-        if hi - lo == 1:
-            break
-        if hi == len(sizes):
-            index = min(lo + step, len(sizes) - 1)
-        elif lo < 0:
-            index = max(hi - step, 0)
-        else:
-            index = (lo + hi) // 2
-        step *= 2
+        index += step
     block, vals, vecs, leaks = solved
     norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     if np.any(np.linalg.norm((block @ vecs - vecs * vals) / norm, axis=0) > 1e-10):

@@ -359,8 +359,8 @@ def test_circular_oracle_reads_no_closed_form(monkeypatch):
 def test_each_mode_solves_its_own_tridiagonal_on_the_same_schedule(monkeypatch):
     # basis_n_max 14, Omega = 0.1 omega0, v = 0.1: each mode certifies at 25 states, and
     # not at 22, the schedule size below; each solve gets that many states' tridiagonal,
-    # bit for bit, and each mode's levels and leaks are those of its 25-state solve, in no
-    # more solves than a scan of 16, 19, 22 and 25 states
+    # bit for bit, and each mode's levels and leaks are those of its 25-state solve, in two
+    # solves per mode: 25 states, which certify, and 22, which fail
     seen = []
 
     def eigh(a, _f=np.linalg.eigh):
@@ -370,11 +370,11 @@ def test_each_mode_solves_its_own_tridiagonal_on_the_same_schedule(monkeypatch):
     rotor = trap(0.1, 0.1)
     quasienergy._ho_circular_levels(14, rotor)
     seen = seen.copy()
-    assert len(seen) <= 8
+    assert len(seen) == 4
     drive, wrel = mode_drive(rotor), rotor.Omega / 1e13
     for slope in (1.0 - wrel, 1.0 + wrel):
         blocks = [a for a in seen if a[1, 1] == slope]
-        assert 25 in [len(a) for a in blocks]
+        assert sorted(len(a) for a in blocks) == [22, 25]
         for a in blocks:
             assert a.tobytes() == quasienergy._circular_mode(slope, drive, len(a)).tobytes()
         levels, leaks = truncation(slope, drive, 15, 25)
@@ -389,7 +389,7 @@ GRID = [(slope, drive, count) for slope in (1.9, 1.0, 0.3, 0.05, -0.05, -0.4, -1
 
 @pytest.mark.parametrize("slope, drive, count", GRID)
 def test_mode_search_ends_where_the_forward_scan_does(slope, drive, count, monkeypatch):
-    # the predicted start and the bisection end on the first certifying size of the
+    # the predicted start and the walk end on the first certifying size of the
     # schedule, with the same level and leak bytes, or exit 3 past 400 states, in no more
     # solves than a scan of every size from the smallest
     sizes = []
@@ -408,6 +408,14 @@ def test_mode_search_ends_where_the_forward_scan_does(slope, drive, count, monke
         assert [a.tobytes() for a in got] == [levels.tobytes(), leaks.tobytes()]
         assert states in sizes
     assert len(sizes) <= solves
+    # the walk solves each size from the predicted one to the first certifying one once,
+    # and the failing size just below that one unless it is the smallest; past the top of
+    # the schedule it has solved every size from the predicted one up to 400 states
+    schedule = quasienergy._mode_sizes(count)
+    start = quasienergy._predicted_size(schedule, slope, drive, count)
+    first = len(schedule) - 1 if states is None else schedule.index(states)
+    low = start if states is None else min(start, max(first - 1, 0))
+    assert sorted(sizes) == list(schedule[low:max(start, first) + 1])
 
 
 def test_basis_size_tables_are_built_once_and_read_only():
