@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
 import math
 import os
@@ -282,8 +283,8 @@ def validate_config(raw: dict, command: str) -> dict:
     if output is not None:
         if "format" in output and output["format"] not in ("csv", "json"):
             problems.append("output.format: must be 'csv' or 'json'")
-        if "path" in output and not isinstance(output["path"], str):
-            problems.append("output.path: must be a string")
+        if "path" in output and (not isinstance(output["path"], str) or not output["path"]):
+            problems.append("output.path: must be a nonempty string")
 
     doppler = _block(raw, "doppler", _DOPPLER_KEYS, problems,
                      "block is required" if command == "doppler" else None)
@@ -661,7 +662,10 @@ _one_blas_thread = _OneBlasThread()
 def _write_atomic(text: str, path: str):
     # written where and as open(path, "w") would: into the file a symlink names, with the
     # mode of the file it replaces or else 0o666 less the umask, from a temp file created
-    # exclusively beside it, whose 96 random bits make a clash as unlikely as a guess
+    # exclusively beside it, whose 96 random bits make a clash as unlikely as a guess; an
+    # empty path fails as open("", "w") does, before a temp file is made
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     path = os.path.realpath(path) if os.path.islink(path) else path
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".rotoshift-{os.urandom(12).hex()}")
@@ -710,7 +714,7 @@ def run_scenario(config: dict, command: str, out: str = None) -> int:
     path = out if out is not None else output.get("path")
     text = (_render_csv(columns, table) if output.get("format", "csv") == "csv"
             else _render_json(command, columns, table))
-    if path:
+    if path is not None:
         try:
             _write_atomic(text, path)
         except OSError as exc:
@@ -718,6 +722,15 @@ def run_scenario(config: dict, command: str, out: str = None) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+_COMMANDS = {
+    "spectrum": "closed-form vs numerical quasi-energy levels",
+    "drfs": "rotational frequency shift of one transition",
+    "doppler": "moving-source frequency from the linear Doppler formula",
+    "compare-stark": "centrifugal vs drive-field Stark comparison",
+    "sweep": "scan omega, radius or drive and tabulate shift rows",
+}
 
 
 @lru_cache(maxsize=None)
@@ -728,12 +741,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Quasi-energy spectra and photon frequency shifts of "
                     "rotating quantum emitters.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("spectrum", "closed-form vs numerical quasi-energy levels"),
-            ("drfs", "rotational frequency shift of one transition"),
-            ("doppler", "moving-source frequency from the linear Doppler formula"),
-            ("compare-stark", "centrifugal vs drive-field Stark comparison"),
-            ("sweep", "scan omega, radius or drive and tabulate shift rows")):
+    for name, text in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", help="output file (default: output.path from "
@@ -741,8 +749,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv):
+    # the Namespace parse_args returns for `<command> --config PATH [--out PATH]`, each
+    # option once with a value not starting with "-", which argparse takes as it stands;
+    # None for any other argv, which argparse alone reads, answering help and usage errors
+    if (isinstance(argv, list) and len(argv) in (3, 5) and all(isinstance(a, str) for a in argv)
+            and argv[0] in _COMMANDS and sorted(argv[1::2]) in (["--config"], ["--config", "--out"])
+            and not any(v.startswith("-") for v in argv[2::2])):
+        options = dict(zip(argv[1::2], argv[2::2]))
+        return argparse.Namespace(command=argv[0], config=options["--config"],
+                                  out=options.get("--out"))
+    return None
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # the plain form skips parse_args, which costs about as much as a drfs report
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
 
     try:
         # JSON's encoding, whatever the locale's

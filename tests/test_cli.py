@@ -1,7 +1,9 @@
 """End-to-end command-line checks: schemas, exit codes, file handling."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -12,11 +14,14 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import chain
 from math import pi
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotoshift
@@ -228,13 +233,32 @@ def test_config_the_reader_cannot_decode_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["missing/report.csv", "directory"])
-def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, target):
+@pytest.mark.parametrize("target", ["missing/report.csv", "directory", ""])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, target):
     (tmp_path / "directory").mkdir()
-    out = str(tmp_path / target)
+    # run from a directory under tmp_path, so that a temp file made beside the working
+    # directory, as well as in it, lands where the search below finds it
+    monkeypatch.chdir(tmp_path / "directory")
+    out = str(tmp_path / target) if target else ""
     argv = ["drfs", "--config", write_config(tmp_path, coulomb_drfs_config()), "--out", out]
+    opened = []
+    os_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, *args: opened.append(path) or os_open(path, *args))
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write output {out}: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write output {out}: ")
+    assert captured.out == ""
+    assert not list(tmp_path.rglob(".rotoshift-*"))
+    # an empty path fails before a temp file is made, not after one is made and removed
+    assert opened == [] if not target else len(opened) == 1
+
+
+def test_empty_output_path_exits_2_naming_the_field(tmp_path, capsys, monkeypatch):
+    (tmp_path / "directory").mkdir()
+    monkeypatch.chdir(tmp_path / "directory")
+    config = coulomb_drfs_config(output={"path": ""})
+    assert main(["drfs", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr() == ("", "error: output.path: must be a nonempty string\n")
     assert not list(tmp_path.rglob(".rotoshift-*"))
 
 
@@ -1244,11 +1268,11 @@ def test_json_output_format(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the parser is built once per process
+# the plain command line is read without argparse; the parser is built once
 # ---------------------------------------------------------------------------
 
 
-def test_parser_built_on_first_call_only(tmp_path, capsys, monkeypatch):
+def test_only_an_irregular_command_line_builds_the_parser(tmp_path, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1259,13 +1283,19 @@ def test_parser_built_on_first_call_only(tmp_path, capsys, monkeypatch):
     cli._parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     path = write_config(tmp_path, coulomb_drfs_config())
+    out = str(tmp_path / "out.csv")
+    monkeypatch.setattr(sys, "argv", ["rotoshift", "drfs", "--config", path])
+    # three plain forms (--out first, and from sys.argv), two irregular ones, plain again
+    calls = [["drfs", "--config", path], ["drfs", "--out", out, "--config", path], None,
+             ["drfs", f"--config={path}"], ["drfs", "--conf", path],
+             ["drfs", "--config", path, "--out", out]]
     per_call = []
-    for _ in range(3):
+    for argv in calls:
         before = len(built)
-        assert main(["drfs", "--config", path]) == 0
+        assert main(argv) == 0
         per_call.append(len(built) - before)
     capsys.readouterr()
-    assert per_call[0] > 0 and per_call[1:] == [0, 0]
+    assert per_call[3] > 0 and per_call[:3] + per_call[4:] == [0, 0, 0, 0, 0]
 
 
 def test_reused_parser_is_stateless(tmp_path, capsys):
@@ -1299,6 +1329,77 @@ def test_reused_parser_is_stateless(tmp_path, capsys):
     # the first call's --out does not carry over: the second writes to stdout
     assert reused[0][1] == "" and ",1," in reused[1][1]
     assert out.read_text() == reused[1][1]
+
+
+# a config every command but compare-stark accepts, under a plain name and a name with a
+# space; the other tokens are values argparse reads in its own ways ("-" and "-1" as
+# values, "--" as the end of options) and option spellings only argparse knows
+_PLAIN_CONFIGS = ("drfs.json", "my config.json")
+_PLAIN_VALUES = ["", "-", "--", "-1", "a=b", "out put.csv", *_PLAIN_CONFIGS, "missing.json"]
+_PLAIN_TOKENS = ["--config", "--out", "--conf", "--ou", "-h", "--help", "--config=drfs.json",
+                 "--out=o.csv", "extra", "spectrum", "drfs", "doppler", "compare-stark", "sweep",
+                 *_PLAIN_VALUES, Path("drfs.json")]
+_plain_shaped_argv = st.builds(
+    lambda command, pairs, extra: [command, *chain.from_iterable(pairs), *extra],
+    st.sampled_from(["spectrum", "drfs", "doppler", "compare-stark", "sweep", "drfs2"]),
+    st.lists(st.tuples(st.sampled_from(["--config", "--out", "--conf"]),
+                       st.sampled_from([*_PLAIN_VALUES, Path("drfs.json")])), max_size=3),
+    st.lists(st.sampled_from(_PLAIN_TOKENS), max_size=1))
+
+
+@pytest.fixture(scope="module")
+def plain_workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("plain") / "cwd"
+
+
+def _main_outcome(workdir, argv, from_sys_argv):
+    # exit code or exception, stdout, stderr and the files written, of one main call run
+    # in a fresh working directory that holds only the configs
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir()
+    payload = coulomb_drfs_config(
+        sweep={"axis": "omega", "from": 1e10, "to": 1e12, "points": 3},
+        doppler={"delta_E_J": 1e-19, "v_m_per_s": [100.0, 0.0, 0.0], "k_direction": [1, 0, 0]})
+    for name in _PLAIN_CONFIGS:
+        (workdir / name).write_text(json.dumps(payload))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              mock.patch.object(sys, "argv", ["rotoshift", *argv])):
+            try:
+                code = main(None if from_sys_argv else argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            except Exception as exc:  # a non-str token: argparse's own TypeError
+                code = (type(exc).__name__, str(exc))
+    finally:
+        os.chdir(cwd)
+    files = {p.name: p.read_bytes() for p in workdir.iterdir() if p.name not in _PLAIN_CONFIGS}
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.one_of(_plain_shaped_argv, st.lists(st.sampled_from(_PLAIN_TOKENS), max_size=6)),
+       from_sys_argv=st.booleans())
+@example(argv=["drfs", "--config", "drfs.json"], from_sys_argv=True)
+@example(argv=["sweep", "--out", "out put.csv", "--config", "my config.json"], from_sys_argv=False)
+@example(argv=["doppler", "--config", "drfs.json", "--out", ""], from_sys_argv=False)
+@example(argv=["drfs", "--config", "drfs.json", "--out", "-1"], from_sys_argv=False)
+@example(argv=["spectrum", "--out", "--", "--config", "drfs.json"], from_sys_argv=False)
+@example(argv=["drfs", "--config", "drfs.json", "--config", "drfs.json"], from_sys_argv=False)
+@example(argv=["drfs", "--config=drfs.json"], from_sys_argv=True)
+@example(argv=["drfs", "--conf", "drfs.json"], from_sys_argv=False)
+@example(argv=["drfs", "-h"], from_sys_argv=False)
+@example(argv=["drfs", "--config", Path("drfs.json")], from_sys_argv=False)
+def test_plain_command_line_reads_as_argparse_does(plain_workdir, argv, from_sys_argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert plain == cli._parser().parse_args(argv)
+    direct = _main_outcome(plain_workdir, argv, from_sys_argv)
+    with mock.patch.object(cli, "_plain_args", return_value=None):
+        assert _main_outcome(plain_workdir, argv, from_sys_argv) == direct
 
 
 @pytest.mark.parametrize("command,flag", [("drfs", ["--M", "3"]),
